@@ -24,7 +24,7 @@ from .declarations import (
     split,
     write_csv,
 )
-from .encoder import EncoderConfig, EncoderParams, embed, fraud_score, standardize_stats
+from .encoder import EncoderConfig, EncoderParams, standardize_stats
 from .evaluation import (
     ScenarioConfig,
     ScenarioReport,
@@ -62,11 +62,9 @@ __all__ = [
     "calibrate",
     "default_world_config",
     "deserialize",
-    "embed",
     "emit_report",
     "extract_prototypes",
     "finetune",
-    "fraud_score",
     "generate_world",
     "kmeans",
     "load_csv",

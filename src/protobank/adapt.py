@@ -26,13 +26,13 @@ from .encoder import (
     embed_batch,
     encoder_from_meta,
     encoder_meta,
-    inference,
+    forward_rows,
     score_batch,
     standardize_stats,
 )
-from .errors import DataError, FormatError, MetricError, ShapeError
+from .errors import DataError, FormatError, ShapeError
 from .numerics import OptimizerState, Tensor
-from .pretrain import stratified_batches
+from .pretrain import stratified_batches, valid_metric
 
 _ADAPT_TENSORS = ("gate_w1", "gate_b1", "gate_w2", "gate_b2", "fuse_w", "fuse_b")
 
@@ -164,30 +164,12 @@ def target_forward(
     return score_batch(params.encoder, h_hat), h_hat
 
 
-def score_records(params: AdaptParams, records, chunk: int = 1024) -> np.ndarray:
+def score_records(params: AdaptParams, records) -> np.ndarray:
+    """Fraud scores for many records through the full target model."""
     bank = params.bank_matrix if params.use_memory else None
-    out = []
-    with inference(params.encoder):
-        for lo in range(0, len(records), chunk):
-            feats, hi, ci = batch_inputs(params.encoder, records[lo : lo + chunk])
-            out.append(target_forward(params, feats, hi, ci, bank)[0].data[:, 0])
-    return np.concatenate(out) if out else np.zeros(0)
-
-
-def _valid_metric(params: AdaptParams, valid: CountryDataset, rate: float) -> float:
-    from .evaluation import revenue_at_k  # local import to avoid a module cycle
-
-    if not valid.records:
-        return -np.inf
-    scores = score_records(params, valid.records)
-    try:
-        return revenue_at_k(scores, valid, rate)
-    except (MetricError, DataError):
-        labels = np.array(
-            [1.0 if valid.sealed.get(r.id, (False,))[0] else 0.0 for r in valid.records]
-        )
-        p = np.clip(scores, 1e-12, 1 - 1e-12)
-        return float(np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
+    return forward_rows(
+        params.encoder, records, lambda *x: target_forward(params, *x, bank)[0], 1
+    )[:, 0]
 
 
 def _init_model(
@@ -268,7 +250,7 @@ def finetune(
             loss.backward()
             nm.opt_step(trainable, opt)
             bce_sum += bce_val * len(idx)
-        metric = _valid_metric(params, target_valid, 0.05)
+        metric, _ = valid_metric(score_records(params, target_valid.records), target_valid, 0.05)
         curve.append({"epoch": epoch, "train_bce": bce_sum / len(labeled), "valid_metric": metric})
         if metric > best_metric:
             best_metric = metric

@@ -227,7 +227,8 @@ class BankStore:
         if not isinstance(ps, PrototypeSet):
             raise DataError("only prototype sets can be stored")
         sid = _safe_id(ps.source_id)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-", suffix=".pbnk")
+        # no .pbnk suffix, so list() never sees an upload in flight
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
@@ -239,10 +240,10 @@ class BankStore:
         return sid
 
     def get(self, source_id: str) -> bytes:
-        path = self.root / f"{_safe_id(source_id)}.pbnk"
-        if not path.exists():
-            raise DataError(f"unknown source_id {source_id!r}")
-        return path.read_bytes()
+        try:
+            return (self.root / f"{_safe_id(source_id)}.pbnk").read_bytes()
+        except FileNotFoundError:
+            raise DataError(f"unknown source_id {source_id!r}") from None
 
     def list(self) -> list[tuple[str, int]]:
         out = []
@@ -330,7 +331,7 @@ class _Handler(socketserver.BaseRequestHandler):
             opcode, body = frame
             try:
                 reply = self._dispatch(store, opcode, body)
-            except (DataError, FormatError) as e:
+            except (DataError, FormatError, UnicodeDecodeError, OSError) as e:
                 _write_frame(self.request, 1, str(e).encode("utf-8"))
                 continue
             _write_frame(self.request, 0, reply)

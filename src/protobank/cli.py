@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .adapt import FinetuneConfig, finetune, load_model, save_adapt
@@ -270,11 +269,7 @@ def _cmd_experiment(args) -> int:
     seeds = tuple(range(args.seeds))
     configs = suite_configs(args.suite, world, seeds=seeds, label_fraction=args.label_fraction)
     runner = ScenarioRunner(world)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(runner.run, configs))
-    else:
-        reports = [runner.run(cfg) for cfg in configs]
+    reports = [runner.run(cfg) for cfg in configs]
     for rep in reports:
         print(
             f"{rep.scenario}: mean={rep.mean:.4f} stdev={rep.stdev:.4f}"
@@ -364,7 +359,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="world config file (default: built-in world)")
     p.add_argument("--seeds", type=int, default=5, help="number of seeds per scenario")
     p.add_argument("--label-fraction", type=float, default=0.01, help="target label share")
-    p.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
     p.add_argument("--seed", type=int, default=None, help="world seed for the built-in config")
 
     return parser

@@ -376,11 +376,10 @@ def generate_world(cfg: SyntheticWorldConfig) -> dict[str, CountryDataset]:
 class SplitSpec:
     test_window_days: int = 30
     valid_window_days: int = 14
-    label_fraction: float = 1.0
 
 
-def split(ds: CountryDataset, spec: SplitSpec, seed: int = 0) -> dict[str, CountryDataset]:
-    """Chronological partition; the seed is accepted but unused (split is exact)."""
+def split(ds: CountryDataset, spec: SplitSpec) -> dict[str, CountryDataset]:
+    """Chronological partition into train, valid and test windows."""
     if not ds.records:
         raise DataError(f"{ds.country_id}: cannot split an empty dataset")
     first, last = ds.records[0].date, ds.records[-1].date

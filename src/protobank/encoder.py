@@ -17,7 +17,6 @@ learned "unknown" row of each embedding table.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +68,6 @@ def standardize_stats(train: CountryDataset) -> FeatureStats:
         raise DataError("cannot compute feature statistics on an empty split")
     feats = np.stack([record_features(r) for r in train.records])
     return FeatureStats(feats.mean(axis=0), np.maximum(feats.std(axis=0), 1e-6))
-
-
-@dataclass
-class TransactionEmbedding:
-    p: np.ndarray
-    q: np.ndarray
-    g: np.ndarray | None
-    h: np.ndarray
-    score: float
 
 
 @dataclass
@@ -191,59 +181,35 @@ def score_batch(params: EncoderParams, h: Tensor) -> Tensor:
     return nm.sigmoid(nm.add(nm.matmul(h, t["head_w"]), t["head_b"]))
 
 
-def embed(params: EncoderParams, x: ImportDeclaration) -> TransactionEmbedding:
-    """Single-record convenience wrapper; returns plain numpy views."""
-    feats, hs6_idx, cty_idx = batch_inputs(params, [x])
-    with inference(params):
-        p, q, g, h = embed_batch(params, feats, hs6_idx, cty_idx)
-        score = score_batch(params, h)
-    return TransactionEmbedding(
-        p=p.data[0],
-        q=q.data[0],
-        g=None if g is None else g.data[0],
-        h=h.data[0],
-        score=float(score.data[0, 0]),
+SCORE_CHUNK = 1024  # records per forward pass when scoring many records
+
+
+def forward_rows(params: EncoderParams, records, forward, width: int) -> np.ndarray:
+    """Rows of `forward(feats, hs6_idx, cty_idx)` over many records, without a graph.
+
+    The one scoring loop: records go through `batch_inputs` and `forward` in
+    SCORE_CHUNK-record slices under `no_grad`, and the slices' outputs are
+    stacked into an (n, width) array.
+    """
+    out = []
+    with nm.no_grad():
+        for lo in range(0, len(records), SCORE_CHUNK):
+            out.append(forward(*batch_inputs(params, records[lo : lo + SCORE_CHUNK])).data)
+    return np.vstack(out) if out else np.zeros((0, width))
+
+
+def embed_matrix(params: EncoderParams, records) -> np.ndarray:
+    """Fused representations h for many records."""
+    return forward_rows(
+        params, records, lambda *x: embed_batch(params, *x)[3], params.config.d
     )
 
 
-def fraud_score(params: EncoderParams, h) -> float:
-    """Score a single fused representation."""
-    ht = h if isinstance(h, Tensor) else Tensor(np.asarray(h, dtype=np.float64).reshape(1, -1))
-    return float(score_batch(params, ht).data[0, 0])
-
-
-@contextmanager
-def inference(params: EncoderParams):
-    """Temporarily stop graph construction for pure scoring passes."""
-    flags = {k: t.requires_grad for k, t in params.tensors.items()}
-    for t in params.tensors.values():
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for k, t in params.tensors.items():
-            t.requires_grad = flags[k]
-
-
-def embed_matrix(params: EncoderParams, records, chunk: int = 1024) -> np.ndarray:
-    """Fused representations h for many records, without building a graph."""
-    out = []
-    with inference(params):
-        for lo in range(0, len(records), chunk):
-            feats, hi, ci = batch_inputs(params, records[lo : lo + chunk])
-            out.append(embed_batch(params, feats, hi, ci)[3].data)
-    return np.vstack(out) if out else np.zeros((0, params.config.d))
-
-
-def score_records(params: EncoderParams, records, chunk: int = 1024) -> np.ndarray:
-    """Fraud scores for many records, without building a graph."""
-    out = []
-    with inference(params):
-        for lo in range(0, len(records), chunk):
-            feats, hi, ci = batch_inputs(params, records[lo : lo + chunk])
-            _, _, _, h = embed_batch(params, feats, hi, ci)
-            out.append(score_batch(params, h).data[:, 0])
-    return np.concatenate(out) if out else np.zeros(0)
+def score_records(params: EncoderParams, records) -> np.ndarray:
+    """Fraud scores for many records."""
+    return forward_rows(
+        params, records, lambda *x: score_batch(params, embed_batch(params, *x)[3]), 1
+    )[:, 0]
 
 
 # ---------------------------------------------------------------------------

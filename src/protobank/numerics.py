@@ -6,12 +6,18 @@ computing the local vector-Jacobian product. Every op validates that its
 output is finite; a NaN/Inf anywhere raises NumericError instead of
 silently propagating through a training step.
 
+Whether an op records its place in the graph is decided here and only
+here: inside `no_grad()` the calling thread's ops build no graph, whatever
+their inputs' `requires_grad` flags say, and those flags are never touched.
+
 Also hosts the finite-difference gradient checker and the adaptive-moment
 optimizer with decoupled weight decay used by both training stages.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,9 +116,27 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Ops run by this thread inside the block record no graph; nestable."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._vjp is not None for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad or p._vjp is not None for p in parents):
         out._parents = parents
         out._vjp = vjp
     return out

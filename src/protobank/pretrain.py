@@ -100,23 +100,21 @@ def stratified_batches(
     return [np.concatenate(c) for c in chunks if sum(len(p) for p in c) > 0]
 
 
-def _valid_metric(params: EncoderParams, valid: CountryDataset, rate: float) -> tuple[float, bool]:
-    """Validation Revenue@rate; falls back to -BCE when revenue is undefined."""
+def valid_metric(scores: np.ndarray, valid: CountryDataset, rate: float) -> tuple[float, bool]:
+    """Validation Revenue@rate of `scores` and True; -BCE and False when revenue
+    is undefined; -inf and False on an empty split."""
     from .evaluation import revenue_at_k  # local import to avoid a module cycle
 
     if not valid.records:
         return -np.inf, False
-    scores = score_records(params, valid.records)
     try:
         return revenue_at_k(scores, valid, rate), True
     except (MetricError, DataError):
         labels = np.array(
             [1.0 if valid.sealed.get(r.id, (False,))[0] else 0.0 for r in valid.records]
         )
-        eps = 1e-12
-        p = np.clip(scores, eps, 1 - eps)
-        bce = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))
-        return -bce, False
+        p = np.clip(scores, 1e-12, 1 - 1e-12)
+        return float(np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))), False
 
 
 def pretrain(
@@ -165,7 +163,7 @@ def pretrain(
             nm.opt_step(params.tensors, opt)
             scl_sum += scl_val * len(idx)
             cls_sum += cls.item() * len(idx)
-        metric, is_revenue = _valid_metric(params, ds_valid, 0.05)
+        metric, is_revenue = valid_metric(score_records(params, ds_valid.records), ds_valid, 0.05)
         curve.append(
             {
                 "epoch": epoch,

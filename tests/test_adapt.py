@@ -24,6 +24,7 @@ from protobank.declarations import SplitSpec, split
 from protobank.encoder import EncoderConfig, batch_inputs, save_encoder
 from protobank.errors import DataError, ShapeError
 from protobank.numerics import Tensor, grad_check
+from tests.test_declarations import make_dataset
 from tests.test_encoder import small_params
 from tests.test_pretrain import separable_dataset
 
@@ -328,3 +329,41 @@ class TestAdaptSerialization:
         assert isinstance(model, EncoderParams)
         adapt = small_adapt(seed=2)
         assert isinstance(load_model(save_adapt(adapt)), AdaptParams)
+
+
+class TestGraphFreeScoring:
+    def test_entry_points_keep_flags_and_build_no_graph(self, monkeypatch):
+        from protobank import adapt
+        from protobank.bank import extract_prototypes
+        from protobank.encoder import embed_matrix
+        from protobank.encoder import score_records as encoder_scores
+        from protobank.pretrain import select_fraud_like
+
+        model = small_adapt(d=6)
+        model.bank_matrix = small_bank(dim=6).matrix()
+        model.use_memory = True
+        # a mixed set of flags must come back exactly as it was
+        model.tensors["gate_w1"] = Tensor(model.tensors["gate_w1"].data)
+        flags = {k: t.requires_grad for k, t in model.all_tensors().items()}
+        ds = make_dataset(30)
+
+        graphs = []
+        original = adapt.target_forward
+
+        def recording(*args):
+            out = original(*args)
+            graphs.extend((t._vjp, t._parents) for t in out)
+            return out
+
+        monkeypatch.setattr(adapt, "target_forward", recording)
+        adapt.score_records(model, ds.records)
+        embed_matrix(model.encoder, ds.records)
+        encoder_scores(model.encoder, ds.records)
+        select_fraud_like(model.encoder, ds, 0.5)
+        extract_prototypes(model.encoder, ds, per_class=2)
+
+        assert graphs and all(g == (None, ()) for g in graphs)
+        assert {k: t.requires_grad for k, t in model.all_tensors().items()} == flags
+        feats, hi, ci = batch_inputs(model.encoder, ds.records)
+        pred, _ = original(model, feats, hi, ci, model.bank_matrix)
+        assert pred._vjp is not None  # training still records its graph

@@ -1,9 +1,12 @@
+import os
+import struct
 import threading
 
 import numpy as np
 import pytest
 
 from protobank.bank import (
+    OP_GET,
     BankClient,
     BankStore,
     assemble,
@@ -11,6 +14,7 @@ from protobank.bank import (
     extract_prototypes,
     kmeans,
     random_bank,
+    _pack_blob,
 )
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.errors import DataError, FormatError, NumericError
@@ -300,6 +304,66 @@ class TestBankService:
                 assert client.get([sid]) == [blob]
 
 
+    def test_concurrent_put_and_list_name_each_set_once(self, server):
+        blobs = [serialize(self._proto(f"C{i}", seed=i)) for i in range(4)]
+        with BankClient(server.address) as client:
+            for blob in blobs:
+                client.put(blob)
+        expected = [(f"C{i}", 42) for i in range(4)]
+        stop = threading.Event()
+        errors, listings = [], []
+
+        def putter():
+            try:
+                with BankClient(server.address) as client:
+                    while not stop.is_set():
+                        for blob in blobs:
+                            client.put(blob)
+            except Exception as e:  # noqa: BLE001 - collected for the main thread
+                errors.append(e)
+
+        def lister():
+            try:
+                with BankClient(server.address) as client:
+                    for _ in range(150):
+                        listings.append(client.list())
+            except Exception as e:  # noqa: BLE001 - collected for the main thread
+                errors.append(e)
+
+        putters = [threading.Thread(target=putter) for _ in range(2)]
+        listers = [threading.Thread(target=lister) for _ in range(2)]
+        for t in putters + listers:
+            t.start()
+        for t in listers:
+            t.join(timeout=60)
+        stop.set()
+        for t in putters:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in putters + listers)
+        assert not errors
+        assert len(listings) == 300
+        assert all(listing == expected for listing in listings)
+
+    def test_bad_get_id_answers_error_frame_on_live_connection(self, server):
+        with BankClient(server.address) as client:
+            client.put(self._proto("AA"))
+            body = struct.pack("<I", 1) + _pack_blob(b"\xff\xfe")  # not UTF-8
+            with pytest.raises(DataError, match="utf-8"):
+                client._call(OP_GET, body)
+            assert client.list() == [("AA", 42)]
+
+    def test_store_read_error_answers_error_frame_on_live_connection(self, server, monkeypatch):
+        def failing_get(source_id):
+            raise OSError("read failed")
+
+        with BankClient(server.address) as client:
+            client.put(self._proto("AA"))
+            monkeypatch.setattr(server.store, "get", failing_get)
+            with pytest.raises(DataError, match="read failed"):
+                client.get(["AA"])
+            assert client.list() == [("AA", 42)]
+
+
 class TestBankStore:
     def test_atomic_replace_and_safe_ids(self, tmp_path):
         store = BankStore(tmp_path)
@@ -310,3 +374,16 @@ class TestBankStore:
         bad = PrototypeSet("../evil", 3, rng.normal(size=(1, 3)), rng.normal(size=(1, 3)))
         with pytest.raises(DataError):
             store.put(serialize(bad))
+
+    def test_leftover_temp_file_not_listed(self, tmp_path, monkeypatch):
+        store = BankStore(tmp_path)
+        rng = np.random.default_rng(0)
+        blob = serialize(PrototypeSet("AA", 3, rng.normal(size=(1, 3)), rng.normal(size=(1, 3))))
+        store.put(blob)
+        # an upload that never reached its rename leaves its temp file behind
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", lambda src, dst: None)
+            store.put(blob)
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+        assert store.list() == [("AA", 0)]
+        assert store.get("AA") == blob

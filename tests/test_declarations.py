@@ -163,10 +163,10 @@ class TestSplit:
         with pytest.raises(DataError):
             split(ds, SplitSpec(30, 14))
 
-    def test_seed_independent(self):
+    def test_deterministic(self):
         ds = self._spread(90)
-        a = split(ds, SplitSpec(), seed=1)
-        b = split(ds, SplitSpec(), seed=999)
+        a = split(ds, SplitSpec())
+        b = split(ds, SplitSpec())
         assert all(a[k].records == b[k].records for k in a)
 
 

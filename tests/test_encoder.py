@@ -9,14 +9,13 @@ from protobank.encoder import (
     EncoderParams,
     FeatureStats,
     batch_inputs,
-    embed,
     embed_batch,
     embed_matrix,
-    fraud_score,
     load_encoder,
     record_features,
     save_encoder,
     score_batch,
+    score_records,
     standardize_stats,
 )
 from protobank.errors import DataError
@@ -94,10 +93,12 @@ class TestEmbed:
     def test_single_record_matches_batch(self):
         params = small_params()
         ds = make_dataset(5)
-        emb = embed(params, ds.records[2])
+        h_one = embed_matrix(params, ds.records[2:3])
         hmat = embed_matrix(params, ds.records)
-        assert np.allclose(emb.h, hmat[2], atol=1e-12)
-        assert 0.0 < emb.score < 1.0
+        assert h_one.shape == (1, params.config.d)
+        assert np.allclose(h_one[0], hmat[2], atol=1e-12)
+        (score,) = score_records(params, ds.records[2:3])
+        assert 0.0 < score < 1.0
 
     def test_unknown_categories_use_reserved_row(self):
         params = small_params()
@@ -105,8 +106,8 @@ class TestEmbed:
         feats, hs6_idx, cty_idx = batch_inputs(params, [rec])
         assert hs6_idx[0] == len(params.hs6_vocab)
         assert cty_idx[0] == len(params.country_vocab)
-        emb = embed(params, rec)  # must not raise
-        assert np.all(np.isfinite(emb.h))
+        h = embed_matrix(params, [rec])  # must not raise
+        assert np.all(np.isfinite(h))
 
     def test_width_fixed_by_config(self):
         a = small_params(seed=1, n_hs6=3)
@@ -120,15 +121,14 @@ class TestFraudScore:
         params = small_params()
         params.tensors["head_w"].data[:] = 0
         params.tensors["head_b"].data[:] = 0
-        assert fraud_score(params, np.ones(params.config.d)) == 0.5
+        assert score_batch(params, Tensor(np.ones((1, params.config.d)))).data[0, 0] == 0.5
 
     def test_monotone_in_logit(self):
         params = small_params()
         d = params.config.d
         params.tensors["head_w"].data[:] = np.ones((d, 1))
         params.tensors["head_b"].data[:] = 0
-        lo = fraud_score(params, np.zeros(d))
-        hi = fraud_score(params, np.ones(d))
+        lo, hi = score_batch(params, Tensor(np.stack([np.zeros(d), np.ones(d)]))).data[:, 0]
         assert hi > lo
 
 

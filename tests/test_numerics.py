@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,109 @@ def test_zero_grads():
     p.grad = np.ones(1)
     zero_grads({"p": p})
     assert p.grad is None
+
+
+def test_no_grad_records_no_graph_and_keeps_flags():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with nm.no_grad():
+        with nm.no_grad():
+            inner = nm.mul(x, x)
+        outer = nm.mul(x, x)  # still off after the nested block ends
+    after = nm.mul(x, x)
+    assert inner._vjp is None and inner._parents == ()
+    assert outer._vjp is None and outer._parents == ()
+    assert after._vjp is not None
+    assert x.requires_grad
+    assert np.array_equal(outer.data, after.data)
+
+
+def _grads_of(w):
+    w.grad = None
+    nm.reduce_sum(nm.mul(nm.tanh(nm.matmul(Tensor([[1.0, -2.0]]), w)), 3.0)).backward()
+    return w.grad.copy()
+
+
+def test_no_grad_is_per_thread():
+    w = Tensor(np.array([[0.5, -0.25], [0.75, 1.5]]), requires_grad=True)
+    expected = _grads_of(w)
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def scorer():
+        with nm.no_grad():
+            entered.set()
+            release.wait(timeout=30)
+            seen["graph"] = nm.matmul(Tensor([[1.0, 1.0]]), w)._vjp
+        seen["after"] = nm.matmul(Tensor([[1.0, 1.0]]), w)._vjp
+
+    t = threading.Thread(target=scorer)
+    t.start()
+    assert entered.wait(timeout=30)
+    try:
+        assert np.array_equal(_grads_of(w), expected)  # other thread sits inside no_grad
+    finally:
+        release.set()
+        t.join(timeout=30)
+    assert not t.is_alive()
+    assert seen["graph"] is None and seen["after"] is not None
+    assert w.requires_grad
+
+
+def test_no_grad_overlapping_scopes_across_threads():
+    # a enters, b enters, a exits, b exits: each thread leaves with its graph back
+    w = Tensor([1.0], requires_grad=True)
+    steps = [threading.Event() for _ in range(4)]
+    graphs = {}
+
+    def scope(name, enter_after, entered, exit_after, exited):
+        if enter_after is not None:
+            steps[enter_after].wait(timeout=30)
+        with nm.no_grad():
+            steps[entered].set()
+            steps[exit_after].wait(timeout=30)
+        graphs[name] = nm.mul(w, w)._vjp
+        if exited is not None:
+            steps[exited].set()
+
+    a = threading.Thread(target=scope, args=("a", None, 0, 1, 2))
+    b = threading.Thread(target=scope, args=("b", 0, 1, 2, None))
+    a.start()
+    b.start()
+    a.join(timeout=30)
+    b.join(timeout=30)
+    assert not a.is_alive() and not b.is_alive()
+    assert graphs["a"] is not None and graphs["b"] is not None
+    assert w.requires_grad
+    assert nm.mul(w, w)._vjp is not None
+
+
+def test_no_grad_stress_training_and_scoring_threads():
+    w = Tensor(np.array([[0.5, -0.25], [0.75, 1.5]]), requires_grad=True)
+    expected = _grads_of(w)
+    errors = []
+
+    def trainer():
+        local = Tensor(w.data.copy(), requires_grad=True)
+        for _ in range(200):
+            if not np.array_equal(_grads_of(local), expected):
+                errors.append("gradient lost")
+
+    def scorer():
+        for _ in range(200):
+            with nm.no_grad():
+                if nm.matmul(Tensor([[1.0, 1.0]]), w)._vjp is not None:
+                    errors.append("graph recorded inside no_grad")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=f) for f in (trainer, scorer, trainer, scorer)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert w.requires_grad
