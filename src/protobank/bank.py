@@ -53,38 +53,47 @@ class KMeansResult:
     n_iters: int
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances; `sq_norms` is `(points * points).sum(axis=1)`."""
     d2 = (
-        (points * points).sum(axis=1)[:, None]
+        sq_norms[:, None]
         - 2.0 * points @ centroids.T
         + (centroids * centroids).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _seed_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centroids(
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     """k-means++ style: subsequent seeds drawn proportionally to squared distance."""
     n = points.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(points, points[chosen])[:, 0]
+    d2 = _sq_dists(points, sq_norms, points[chosen])[:, 0]
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0:  # all remaining points coincide with a seed
             chosen.append(int(rng.integers(n)))
         else:
             chosen.append(int(rng.choice(n, p=d2 / total)))
-        d2 = np.minimum(d2, _sq_dists(points, points[chosen[-1] : chosen[-1] + 1])[:, 0])
+        d2 = np.minimum(
+            d2, _sq_dists(points, sq_norms, points[chosen[-1] : chosen[-1] + 1])[:, 0]
+        )
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, k: int, rng, max_iters: int, tol: float) -> KMeansResult:
+def _lloyd(
+    points: np.ndarray, sq_norms: np.ndarray, k: int, rng, max_iters: int, tol: float
+) -> KMeansResult:
     n = points.shape[0]
-    centroids = _seed_centroids(points, k, rng)
+    centroids = _seed_centroids(points, sq_norms, k, rng)
+    # distances to the current centroids: they give the assignment and, after
+    # the update, both the objective and the next iteration's assignment
+    d2 = _sq_dists(points, sq_norms, centroids)
     assign = np.zeros(n, dtype=np.int64)
     history: list[float] = []
     it = 0
     for it in range(1, max_iters + 1):
-        d2 = _sq_dists(points, centroids)
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
@@ -99,7 +108,8 @@ def _lloyd(points: np.ndarray, k: int, rng, max_iters: int, tol: float) -> KMean
         new_centroids /= np.bincount(assign, minlength=k)[:, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        history.append(float(_sq_dists(points, centroids)[np.arange(n), assign].sum()))
+        d2 = _sq_dists(points, sq_norms, centroids)
+        history.append(float(d2[np.arange(n), assign].sum()))
         if shift < tol:
             break
     return KMeansResult(centroids, assign, history[-1], history, it)
@@ -129,9 +139,10 @@ def kmeans(
         raise DataError("max_iters and n_init must be at least 1")
     k = min(k, points.shape[0])
     rng = np.random.default_rng(seed)
+    sq_norms = (points * points).sum(axis=1)
     best: KMeansResult | None = None
     for _ in range(n_init):
-        result = _lloyd(points, k, rng, max_iters, tol)
+        result = _lloyd(points, sq_norms, k, rng, max_iters, tol)
         if best is None or result.objective < best.objective:
             best = result
         if best.objective == 0.0:
@@ -246,10 +257,19 @@ class BankStore:
             raise DataError(f"unknown source_id {source_id!r}") from None
 
     def list(self) -> list[tuple[str, int]]:
+        """(source_id, created_at) of every readable stored set.
+
+        A file that cannot be read or decoded as a prototype set is left
+        out, so one corrupt or foreign file does not hide the others.
+        """
         out = []
         for path in sorted(self.root.glob("*.pbnk")):
-            ps = deserialize(path.read_bytes())
-            out.append((ps.source_id, ps.created_at))
+            try:
+                ps = deserialize(path.read_bytes())
+            except (FormatError, DataError, OSError):
+                continue
+            if isinstance(ps, PrototypeSet):
+                out.append((ps.source_id, ps.created_at))
         return out
 
 
@@ -324,7 +344,13 @@ class _Handler(socketserver.BaseRequestHandler):
         while True:
             try:
                 frame = _read_frame(self.request)
-            except (FormatError, OSError):
+            except FormatError as e:  # bad length: framing is lost, so answer and close
+                try:
+                    _write_frame(self.request, 1, str(e).encode("utf-8"))
+                except OSError:
+                    pass
+                return
+            except OSError:
                 return
             if frame is None:
                 return

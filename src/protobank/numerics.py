@@ -363,6 +363,9 @@ def gather_rows(table, idx) -> Tensor:
     return _node(out, (table,), vjp)
 
 
+_CONV_BLOCK = 64  # records per accumulation block of the conv2d forward
+
+
 def conv2d(x, kernels, bias=None) -> Tensor:
     """Single-channel 2-d convolution, stride 1, zero 'same' padding.
 
@@ -379,18 +382,40 @@ def conv2d(x, kernels, bias=None) -> Tensor:
         raise ShapeError("conv2d kernels must have odd extents")
     n, h, w = xd.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((n, c, h, w))
-    for a in range(kh):
-        for b in range(kw):
-            out += kernels.data[:, a, b][None, :, None, None] * xp[:, None, a : a + h, b : b + w]
     parents = [x, kernels]
     if bias is not None:
         bias = _wrap(bias)
         if bias.shape != (c,):
             raise ShapeError("conv2d bias must be (channels,)")
-        out += bias.data[None, :, None, None]
         parents.append(bias)
+    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw)))
+    # Read row-major, a block of padded records is one vector, and tap (a, b)
+    # for every output of the block is one contiguous slice of it, shifted
+    # by a*wp + b. Positions past column w or row h of a record are junk
+    # (they mix in the next record) and are dropped; the slices end just
+    # after the block's last real output, so they stay inside `xp`. Every
+    # output element sums the same products in the same tap order, from 0.0
+    # with the bias last, as a per-tap broadcast over the whole batch.
+    wp = w + 2 * pw
+    size = (h + 2 * ph) * wp  # one padded record
+    flat = xp.reshape(-1)
+    out = np.empty((n, c, h, w))
+    acc = np.empty(_CONV_BLOCK * size)
+    tmp = np.empty(_CONV_BLOCK * size)
+    for s in range(0, n, _CONV_BLOCK):
+        m = min(_CONV_BLOCK, n - s)
+        span = m * size - 2 * ph * wp - 2 * pw
+        live, t_live = acc[:span], tmp[:span]
+        for ch in range(c):
+            live.fill(0.0)
+            for a in range(kh):
+                for b in range(kw):
+                    off = s * size + a * wp + b
+                    np.multiply(flat[off : off + span], kernels.data[ch, a, b], out=t_live)
+                    live += t_live
+            if bias is not None:
+                live += bias.data[ch]
+            out[s : s + m, ch] = acc[: m * size].reshape(m, h + 2 * ph, wp)[:, :h, :w]
 
     def vjp(g):
         g4 = g[None] if single else g

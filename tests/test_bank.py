@@ -1,4 +1,5 @@
 import os
+import socket
 import struct
 import threading
 
@@ -14,7 +15,9 @@ from protobank.bank import (
     extract_prototypes,
     kmeans,
     random_bank,
+    _lloyd,
     _pack_blob,
+    _read_frame,
 )
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.errors import DataError, FormatError, NumericError
@@ -37,6 +40,112 @@ def reference_lloyd(points, k, rng, iters=60):
         centroids = new
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d2.min(axis=1).sum()
+
+
+def loop_sq_dists(points, centroids):
+    d2 = (
+        (points * points).sum(axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + (centroids * centroids).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def loop_seed_centroids(points, k, rng):
+    """k-means++ seeding recomputing every distance, kept as the bit-exact oracle."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = loop_sq_dists(points, points[chosen])[:, 0]
+    for _ in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            chosen.append(int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, loop_sq_dists(points, points[chosen[-1] : chosen[-1] + 1])[:, 0])
+    return points[chosen].copy()
+
+
+def loop_lloyd(points, k, rng, max_iters=100, tol=1e-6):
+    """Lloyd restart computing the distance matrix twice per iteration (oracle)."""
+    n = points.shape[0]
+    centroids = loop_seed_centroids(points, k, rng)
+    assign = np.zeros(n, dtype=np.int64)
+    history = []
+    it = 0
+    for it in range(1, max_iters + 1):
+        d2 = loop_sq_dists(points, centroids)
+        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            own = d2[np.arange(n), assign]
+            own[counts[assign] <= 1] = -1.0
+            far = int(own.argmax())
+            counts[assign[far]] -= 1
+            assign[far] = empty
+            counts[empty] = 1
+        new_centroids = np.zeros_like(centroids)
+        np.add.at(new_centroids, assign, points)
+        new_centroids /= np.bincount(assign, minlength=k)[:, None]
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        history.append(float(loop_sq_dists(points, centroids)[np.arange(n), assign].sum()))
+        if shift < tol:
+            break
+    return centroids, assign, history[-1], history, it
+
+
+def loop_kmeans(points, k, seed, n_init=10):
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(n_init):
+        result = loop_lloyd(points, k, rng)
+        if best is None or result[2] < best[2]:
+            best = result
+        if best[2] == 0.0:
+            break
+    return best
+
+
+def _result_bytes(centroids, assign, objective, history, n_iters):
+    return (
+        centroids.tobytes(),
+        assign.tobytes(),
+        np.float64(objective).tobytes(),
+        np.array(history).tobytes(),
+        n_iters,
+    )
+
+
+KMEANS_CASES = {
+    "k<n": (np.random.default_rng(4).normal(size=(60, 3)), 5),
+    "k=n": (np.random.default_rng(5).normal(size=(12, 2)), 12),
+    "duplicates": (np.vstack([np.zeros((5, 2)), np.ones((2, 2)) * 9]), 3),
+    "all-equal": (np.ones((9, 3)), 3),  # zero total: seeds drawn uniformly, then repaired
+}
+
+
+class TestKMeansBitExact:
+    @pytest.mark.parametrize("case", sorted(KMEANS_CASES))
+    def test_restarts_match_loop_oracle(self, case):
+        points, k = KMEANS_CASES[case]
+        sq_norms = (points * points).sum(axis=1)
+        for seed in range(3):
+            ours_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):  # later restarts continue the same generator
+                r = _lloyd(points, sq_norms, k, ours_rng, 100, 1e-6)
+                ours = _result_bytes(r.centroids, r.assignments, r.objective,
+                                     r.objective_history, r.n_iters)
+                assert ours == _result_bytes(*loop_lloyd(points, k, oracle_rng))
+
+    @pytest.mark.parametrize("case", sorted(KMEANS_CASES))
+    def test_kmeans_matches_loop_oracle(self, case):
+        points, k = KMEANS_CASES[case]
+        for seed in range(3):
+            r = kmeans(points, k, seed=seed)
+            ours = _result_bytes(r.centroids, r.assignments, r.objective,
+                                 r.objective_history, r.n_iters)
+            assert ours == _result_bytes(*loop_kmeans(points, k, seed))
 
 
 class TestKMeans:
@@ -352,6 +461,17 @@ class TestBankService:
                 client._call(OP_GET, body)
             assert client.list() == [("AA", 42)]
 
+    @pytest.mark.parametrize("length", [0, 2**32 - 1])
+    def test_bad_frame_length_answers_error_frame_then_closes(self, server, length):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(struct.pack("<I", length))
+            frame = _read_frame(sock)
+            assert frame is not None
+            status, payload = frame
+            assert status == 1
+            assert b"bad frame length" in payload
+            assert sock.recv(1) == b""  # framing is lost, so the server closes
+
     def test_store_read_error_answers_error_frame_on_live_connection(self, server, monkeypatch):
         def failing_get(source_id):
             raise OSError("read failed")
@@ -387,3 +507,14 @@ class TestBankStore:
         assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
         assert store.list() == [("AA", 0)]
         assert store.get("AA") == blob
+
+    def test_list_skips_unreadable_files(self, tmp_path):
+        store = BankStore(tmp_path)
+        rng = np.random.default_rng(0)
+        ps = PrototypeSet("AA", 3, rng.normal(size=(1, 3)), rng.normal(size=(1, 3)), 7)
+        store.put(serialize(ps))
+        (tmp_path / "ZZ.pbnk").write_bytes(b"ZZZZ")  # truncated stream
+        (tmp_path / "BB.pbnk").write_bytes(serialize(MemoryBank((ps,))))  # not a set
+        (tmp_path / "CC.pbnk").mkdir()  # unreadable: a directory
+        assert store.list() == [("AA", 7)]
+        assert store.get("AA") == serialize(ps)

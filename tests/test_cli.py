@@ -159,6 +159,7 @@ class TestServeFetch:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stderr.close()
 
 
 class TestExitCodes:

@@ -59,6 +59,44 @@ def test_conv2d_identity_kernel():
 def test_conv2d_shape_errors():
     with pytest.raises(ShapeError):
         nm.conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((1, 2, 2))))
+    with pytest.raises(ShapeError):
+        nm.conv2d(Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros(3)))
+
+
+def loop_conv2d(x, kernels, bias=None):
+    """The per-tap broadcast conv2d forward, kept as the bit-exact oracle."""
+    single = x.ndim == 2
+    xd = x[None] if single else x
+    c, kh, kw = kernels.shape
+    n, h, w = xd.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw)))
+    out = np.zeros((n, c, h, w))
+    for a in range(kh):
+        for b in range(kw):
+            out += kernels[:, a, b][None, :, None, None] * xp[:, None, a : a + h, b : b + w]
+    if bias is not None:
+        out += bias[None, :, None, None]
+    return out[0] if single else out
+
+
+@pytest.mark.parametrize("n", [None, 1, nm._CONV_BLOCK + 3, 1024])
+@pytest.mark.parametrize("kshape", [(2, 1, 1), (8, 3, 3), (3, 5, 3)])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_conv2d_forward_bit_identical_to_loop(n, kshape, with_bias):
+    rng = np.random.default_rng([n or 0, *kshape, int(with_bias)])
+    x = rng.normal(size=(16, 12) if n is None else (n, 16, 12))
+    x[x > 1.2] = 0.0
+    x[x < -1.2] = -0.0
+    if n is not None:
+        x[0] = -0.0  # an all-negative-zero record: the sum must start from +0.0
+    kernels = rng.normal(size=kshape)
+    kernels[0, 0, 0] = 0.0
+    bias = rng.normal(size=kshape[0]) if with_bias else None
+    got = nm.conv2d(Tensor(x), Tensor(kernels), None if bias is None else Tensor(bias))
+    want = loop_conv2d(x, kernels, bias)
+    assert got.data.shape == want.shape
+    assert got.data.tobytes() == want.tobytes()
 
 
 def test_matmul_shape_error():
