@@ -55,12 +55,19 @@ class KMeansResult:
 
 def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances; `sq_norms` is `(points * points).sum(axis=1)`."""
-    d2 = (
-        sq_norms[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    # in one (n, k) buffer, and bit for bit
+    # max(sq_norms[:, None] - (2 * points) @ centroids.T + |centroids|^2, 0)
+    d2 = (2.0 * points) @ centroids.T
+    np.subtract(sq_norms[:, None], d2, out=d2)
+    d2 += (centroids * centroids).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _draw(rng: np.random.Generator, weights: np.ndarray, total: float) -> int:
+    """The index `rng.choice(len(weights), p=weights / total)` draws, minus its checks of p."""
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _seed_centroids(
@@ -75,7 +82,7 @@ def _seed_centroids(
         if total <= 0:  # all remaining points coincide with a seed
             chosen.append(int(rng.integers(n)))
         else:
-            chosen.append(int(rng.choice(n, p=d2 / total)))
+            chosen.append(_draw(rng, d2, total))
         d2 = np.minimum(
             d2, _sq_dists(points, sq_norms, points[chosen[-1] : chosen[-1] + 1])[:, 0]
         )

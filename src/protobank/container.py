@@ -19,6 +19,7 @@ stream is rejected: the checksum covers header and payload alike.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -168,7 +169,7 @@ def _f64_bytes(arr: np.ndarray) -> bytes:
 
 
 def _read_f64(r: _Reader, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # Python ints: a u32 x u32 count must not wrap
     raw = r.take(count * 8)
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.all(np.isfinite(arr)):

@@ -221,6 +221,10 @@ class CountrySpec:
     fraud_pattern_ids: tuple[int, ...]
 
 
+_N_HS6_CODES = 900_000  # distinct six-digit codes, 100000..999999
+_MAX_PATTERN_ID = 999  # every id up to the largest one used builds a pattern
+
+
 @dataclass(frozen=True)
 class SyntheticWorldConfig:
     seed: int
@@ -230,6 +234,8 @@ class SyntheticWorldConfig:
     pattern_strength: float = 0.8
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         if not self.countries:
             raise DataError("world config needs at least one country")
         ids = [c.country_id for c in self.countries]
@@ -240,14 +246,18 @@ class SyntheticWorldConfig:
                 raise DataError(f"{c.country_id}: n_records must be >= 1000")
             if not 0 < c.base_illicit_rate < 0.5:
                 raise DataError(f"{c.country_id}: base_illicit_rate must be in (0, 0.5)")
-            if c.duration_days < 60:
-                raise DataError(f"{c.country_id}: duration_days must be >= 60")
+            if not 60 <= c.duration_days <= _END_ANCHOR.toordinal():
+                raise DataError(
+                    f"{c.country_id}: duration_days must be in [60, {_END_ANCHOR.toordinal()}]"
+                )
             if not c.fraud_pattern_ids:
                 raise DataError(f"{c.country_id}: needs at least one fraud pattern id")
-            if any(p < 0 for p in c.fraud_pattern_ids):
-                raise DataError(f"{c.country_id}: negative fraud pattern id")
-        if self.n_hs6 < 10:
-            raise DataError("n_hs6 must be >= 10")
+            if any(not 0 <= p <= _MAX_PATTERN_ID for p in c.fraud_pattern_ids):
+                raise DataError(
+                    f"{c.country_id}: fraud pattern ids must be in [0, {_MAX_PATTERN_ID}]"
+                )
+        if not 10 <= self.n_hs6 <= _N_HS6_CODES:
+            raise DataError(f"n_hs6 must be in [10, {_N_HS6_CODES}]")
         if not 0 < self.pattern_strength <= 1:
             raise DataError("pattern_strength must be in (0, 1]")
         n_patterns = 1 + max(max(c.fraud_pattern_ids) for c in self.countries)
@@ -269,7 +279,7 @@ class _Pattern:
 
 
 def _world_tables(cfg: SyntheticWorldConfig, rng: np.random.Generator):
-    codes = rng.choice(np.arange(100000, 1000000), size=cfg.n_hs6, replace=False)
+    codes = rng.choice(np.arange(100000, 100000 + _N_HS6_CODES), size=cfg.n_hs6, replace=False)
     hs6_codes = [str(c) for c in codes]
     log_ppk = rng.normal(math.log(20.0), 0.9, cfg.n_hs6)
     tariff = rng.uniform(0.05, 0.30, cfg.n_hs6)

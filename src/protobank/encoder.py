@@ -146,6 +146,16 @@ def batch_inputs(params: EncoderParams, records) -> tuple[np.ndarray, np.ndarray
     return feats, hs6_idx, cty_idx
 
 
+_INTERACTION_BLOCK = 128  # records per interaction pass when no graph is recorded
+
+
+def _pooled_interaction(t: dict[str, Tensor], p: Tensor, q: Tensor) -> Tensor:
+    """(N, c) channel means of the ReLU'd convolution over each p q^T map."""
+    interaction = nm.outer(p, q)  # (N, k, k)
+    conv = nm.relu(nm.conv2d(interaction, t["conv_kernels"], t["conv_bias"]))
+    return nm.reduce_mean(conv, axis=(2, 3))  # global average per channel
+
+
 def embed_batch(
     params: EncoderParams,
     feats: np.ndarray,
@@ -163,9 +173,17 @@ def embed_batch(
     )
     q = nm.gather_rows(t["hs6_table"], hs6_idx)
     if params.config.use_interaction:
-        interaction = nm.outer(p, q)  # (N, k, k)
-        conv = nm.relu(nm.conv2d(interaction, t["conv_kernels"], t["conv_bias"]))
-        pooled = nm.reduce_mean(conv, axis=(2, 3))  # global average per channel
+        n = p.shape[0]
+        if nm.grad_enabled() or n <= _INTERACTION_BLOCK:
+            pooled = _pooled_interaction(t, p, q)
+        else:
+            # Without a graph nothing keeps the (N, c, k, k) maps alive, so they
+            # are built a block of records at a time; every pooled row is the
+            # same bits as in one pass over the batch.
+            blocks = [slice(lo, lo + _INTERACTION_BLOCK) for lo in range(0, n, _INTERACTION_BLOCK)]
+            pooled = nm.concat(
+                [_pooled_interaction(t, Tensor(p.data[s]), Tensor(q.data[s])) for s in blocks]
+            )
         g = nm.add(nm.matmul(pooled, t["w_pool"]), t["b_pool"])
         z = nm.concat([p, g], axis=1)
     else:

@@ -134,6 +134,11 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops run by this thread record a graph (False inside `no_grad`)."""
+    return _grad_mode.enabled
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor(data)
     if _grad_mode.enabled and any(p.requires_grad or p._vjp is not None for p in parents):
@@ -320,9 +325,9 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(a, axis: int = -1) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = a.data - a.data.max(axis=axis, keepdims=True)  # a fresh array; `a` is never written
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def vjp(g):
         dot = (g * out).sum(axis=axis, keepdims=True)

@@ -1,13 +1,19 @@
 import os
 import socket
 import struct
+import tempfile
 import threading
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protobank.bank import (
     OP_GET,
+    OP_LIST,
+    OP_PUT,
     BankClient,
     BankStore,
     assemble,
@@ -15,9 +21,12 @@ from protobank.bank import (
     extract_prototypes,
     kmeans,
     random_bank,
+    _Handler,
+    _draw,
     _lloyd,
     _pack_blob,
     _read_frame,
+    _sq_dists,
 )
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.errors import DataError, FormatError, NumericError
@@ -146,6 +155,31 @@ class TestKMeansBitExact:
             ours = _result_bytes(r.centroids, r.assignments, r.objective,
                                  r.objective_history, r.n_iters)
             assert ours == _result_bytes(*loop_kmeans(points, k, seed))
+
+    @pytest.mark.parametrize("n, k, d", [(1, 1, 3), (40, 1, 2), (40, 7, 5), (300, 64, 32)])
+    def test_sq_dists_match_oracle(self, n, k, d):
+        rng = np.random.default_rng(n + k + d)
+        points = rng.normal(size=(n, d)) * 10
+        for centroids in (rng.normal(size=(k, d)), points[:k] + 1e-9, points[:k]):
+            got = _sq_dists(points, (points * points).sum(axis=1), centroids)
+            assert got.tobytes() == loop_sq_dists(points, centroids).tobytes()
+            assert got.min() >= 0.0
+
+    def test_draw_matches_rng_choice_draw_by_draw(self):
+        gen = np.random.default_rng(7)
+        for trial in range(400):
+            n = int(gen.integers(1, 50))
+            weights = gen.random(n) * (gen.random(n) < 0.5)  # about half zero-weight
+            weights[int(gen.integers(n))] = gen.random() + 1e-3  # at least one positive
+            if trial % 4 == 0:
+                weights *= 1e-300  # tiny weights
+            total = weights.sum()
+            ours, oracle = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(5):
+                idx = _draw(ours, weights, total)
+                assert idx == int(oracle.choice(n, p=weights / total))
+                assert weights[idx] > 0
+            assert ours.random() == oracle.random()  # the generators stay in step
 
 
 class TestKMeans:
@@ -518,3 +552,52 @@ class TestBankStore:
         (tmp_path / "CC.pbnk").mkdir()  # unreadable: a directory
         assert store.list() == [("AA", 7)]
         assert store.get("AA") == serialize(ps)
+
+
+def _ids_body(count, ids):
+    return struct.pack("<I", count) + b"".join(_pack_blob(i) for i in ids)
+
+
+_STORED = PrototypeSet("AA", 3, np.ones((2, 3)), np.zeros((1, 3)), 5)
+_ID_BYTES = st.one_of(
+    st.sampled_from([b"AA", b"ZZ", b"../AA", b"", b"A/B", b"\xff\xfe"]),
+    st.binary(max_size=6),
+)
+
+
+def _mutated_set(edits):
+    body = bytearray(serialize(_STORED)[:-8])
+    for pos, value in edits:
+        body[pos % len(body)] = value
+    return bytes(body) + struct.pack("<Q", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+
+
+class TestDispatchContract:
+    """Any opcode and body: `_Handler._dispatch` answers bytes or raises an error it frames."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.one_of(st.sampled_from([OP_PUT, OP_GET, OP_LIST]), st.integers(0, 255)),
+        st.one_of(
+            st.binary(max_size=64),
+            st.builds(_ids_body, st.integers(0, 2**32 - 1), st.lists(_ID_BYTES, max_size=4)),
+            st.builds(_mutated_set, st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)),
+                                             max_size=3)),
+        ),
+    )
+    def test_any_request(self, opcode, body):
+        with tempfile.TemporaryDirectory() as root:
+            store = BankStore(root)
+            store.put(serialize(_STORED))
+            try:
+                reply = _Handler._dispatch(store, opcode, body)
+            except (DataError, FormatError, UnicodeDecodeError, OSError):
+                return
+            assert isinstance(reply, bytes)
+
+    def test_put_with_overflowing_row_count_is_refused(self, tmp_path):
+        body = bytearray(serialize(_STORED)[:-8])
+        struct.pack_into("<II", body, 12, 2**32 - 1, 2**32 - 1)  # dim, fraud rows
+        blob = bytes(body) + struct.pack("<Q", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+        with pytest.raises(FormatError):
+            _Handler._dispatch(BankStore(tmp_path), OP_PUT, blob)

@@ -169,6 +169,22 @@ class TestExitCodes:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("n_hs6=15", "n_hs6=900001"),
+            ("country.AA.duration_days=100", "country.AA.duration_days=800000"),
+            ("seed=5", "seed=-1"),
+            ("country.AA.fraud_patterns=0", "country.AA.fraud_patterns=0,100000"),
+        ],
+    )
+    def test_out_of_range_world_config_is_data_error(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(WORLD_CFG.replace(old, new))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "no.pbm"),
                      "--data", str(tmp_path / "no.csv")]) == 2

@@ -97,3 +97,49 @@ class TestPrototypeContainers:
         assert deserialize(serialize(ps)) == ps
         bank = MemoryBank((ps,))
         assert deserialize(serialize(bank)) == bank
+
+
+def _with_checksum(body: bytes) -> bytes:
+    return body + struct.pack("<Q", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+_SET = PrototypeSet("AA", 3, np.arange(6.0).reshape(2, 3), np.ones((1, 3)), 7)
+_BLOBS = (
+    serialize(_SET),
+    serialize(MemoryBank((_SET, PrototypeSet("BB", 3, np.ones((1, 3)), np.zeros((2, 3)))))),
+)
+
+
+class TestDecodeContract:
+    """Whatever the bytes, `deserialize` returns a container or raises FormatError/DataError."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(range(len(_BLOBS))),
+        st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=4),
+        st.lists(st.tuples(st.integers(8, 80), st.integers(0, 2**32 - 1)), max_size=3),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(0, 2**20)),
+    )
+    def test_mutated_or_truncated(self, which, byte_edits, u32_edits, fix_checksum, cut):
+        blob = _BLOBS[which]
+        body = bytearray(blob[:-8])
+        for pos, value in byte_edits:
+            body[pos % len(body)] = value
+        for pos, value in u32_edits:  # header counts, sizes and string lengths
+            if pos + 4 <= len(body):
+                struct.pack_into("<I", body, pos, value)
+        out = _with_checksum(bytes(body)) if fix_checksum else bytes(body) + blob[-8:]
+        if cut is not None:
+            out = out[: cut % (len(out) + 1)]
+        try:
+            decoded = deserialize(out)
+        except (FormatError, DataError):
+            return
+        assert isinstance(decoded, (PrototypeSet, MemoryBank))
+
+    def test_row_count_times_dim_past_int64_is_truncation(self):
+        body = bytearray(_BLOBS[0][:-8])
+        struct.pack_into("<II", body, 12, 2**32 - 1, 2**32 - 1)  # dim, fraud rows
+        with pytest.raises(FormatError, match="truncated"):
+            deserialize(_with_checksum(bytes(body)))

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -215,6 +216,63 @@ class TestMaskLabels:
         assert len(masked.labeled()) == round(fraction * 40)
 
 
+# Out-of-range values, at most one of which goes into a drawn config.
+_CONFIG_FAULTS = [
+    ("seed", -1),
+    ("n_hs6", 9),
+    ("n_hs6", 900_001),
+    ("pattern_strength", 0.0),
+    ("n_shared_patterns", 99),
+    ("n_records", 999),
+    ("duration_days", 59),
+    ("duration_days", 739_068),
+    ("duration_days", 800_000),
+    ("base_illicit_rate", 0.5),
+    ("base_illicit_rate", float("nan")),
+    ("fraud_pattern_ids", ()),
+    ("fraud_pattern_ids", (-1,)),
+    ("fraud_pattern_ids", (1000,)),
+    ("fraud_pattern_ids", (0, 100_000)),
+]
+
+
+@st.composite
+def world_configs(draw):
+    """Small valid world configs, half of them with one value out of range."""
+    specs = draw(
+        st.lists(
+            st.builds(
+                CountrySpec,
+                country_id=st.just(""),
+                n_records=st.integers(1000, 1100),
+                duration_days=st.one_of(st.integers(60, 400), st.just(739_067)),
+                base_illicit_rate=st.floats(0.001, 0.3),
+                fraud_pattern_ids=st.lists(
+                    st.one_of(st.integers(0, 12), st.just(999)), min_size=1, max_size=4
+                ).map(tuple),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    specs = [replace(spec, country_id=f"C{i}") for i, spec in enumerate(specs)]
+    top = {
+        "seed": draw(st.one_of(st.integers(0, 2**32), st.just(2**70))),
+        "n_hs6": draw(st.integers(10, 200)),
+        "n_shared_patterns": draw(st.integers(0, 1)),
+        "pattern_strength": draw(st.floats(0.01, 1.0)),
+    }
+    fault = draw(st.one_of(st.none(), st.sampled_from(_CONFIG_FAULTS)))
+    if fault is not None:
+        key, value = fault
+        if key in top:
+            top[key] = value
+        else:
+            i = draw(st.integers(0, len(specs) - 1))
+            specs[i] = replace(specs[i], **{key: value})
+    return SyntheticWorldConfig(countries=tuple(specs), **top)
+
+
 class TestGenerateWorld:
     CONFIG = SyntheticWorldConfig(
         seed=7,
@@ -259,6 +317,54 @@ class TestGenerateWorld:
             SyntheticWorldConfig(
                 seed=1, countries=(CountrySpec("AA", 2000, 120, 0.7, (0,)),)
             ).validate()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_hs6": 900_001},  # more codes than six digits hold
+            {"duration_days": 800_000},  # start date before year 1
+            {"duration_days": 739_068},
+            {"seed": -1},
+            {"fraud_pattern_ids": (0, 100_000)},  # one pattern is built per id up to the max
+            {"fraud_pattern_ids": (1_000,)},
+        ],
+    )
+    def test_out_of_range_config_rejected(self, change):
+        spec = {"duration_days": 100, "fraud_pattern_ids": (0,)}
+        top = {"seed": 1, "n_hs6": 20}
+        for key, value in change.items():
+            (top if key in top else spec)[key] = value
+        cfg = SyntheticWorldConfig(
+            top["seed"], (CountrySpec("AA", 1000, base_illicit_rate=0.05, **spec),),
+            n_hs6=top["n_hs6"], n_shared_patterns=0,
+        )
+        with pytest.raises(DataError):
+            generate_world(cfg)
+
+    def test_largest_accepted_values_generate(self):
+        cfg = SyntheticWorldConfig(
+            0,
+            (
+                CountrySpec("AA", 1000, 739_067, 0.05, (999,)),  # starts on 0001-01-01
+                CountrySpec("BB", 1000, 60, 0.05, (0,)),
+            ),
+            n_hs6=900_000,
+            n_shared_patterns=0,
+        )
+        world = generate_world(cfg)
+        assert world["AA"].records[0].date >= date(1, 1, 1)
+        assert len(world["BB"].records) == 1000
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(world_configs())
+    def test_bounded_configs_generate_or_raise_data_error(self, cfg):
+        try:
+            world = generate_world(cfg)
+        except DataError:
+            return
+        assert sorted(world) == sorted(c.country_id for c in cfg.countries)
+        for spec in cfg.countries:
+            assert len(world[spec.country_id].records) == spec.n_records
 
     def test_shared_pattern_transfers_to_probe(self):
         # a plain logistic probe fit on country AA's frauds should push

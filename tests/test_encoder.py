@@ -1,9 +1,12 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from protobank import numerics as nm
+from protobank.declarations import CountrySpec, SyntheticWorldConfig, generate_world
 from protobank.encoder import (
     EncoderConfig,
     EncoderParams,
@@ -21,6 +24,7 @@ from protobank.encoder import (
 from protobank.errors import DataError
 from protobank.numerics import Tensor, grad_check
 from tests.test_declarations import make_dataset, make_record
+from tests.test_numerics import single_pass_softmax
 
 SMALL = EncoderConfig(k=4, d=6, n_kernels=3)
 
@@ -179,3 +183,112 @@ def test_record_features_definition():
     f = record_features(rec)
     assert f[0] == math.log(rec.quantity)
     assert f[4] == rec.cif_value / rec.gross_weight
+
+
+# ---------------------------------------------------------------------------
+# the interaction stage in record blocks must give the single-pass bits
+
+
+def single_pass_embed(params, feats, hs6_idx, cty_idx):
+    """embed_batch with the interaction stage over the whole batch at once (oracle)."""
+    t = params.tensors
+    f = Tensor(feats)
+    p = nm.tanh(
+        nm.add(
+            nm.add(nm.matmul(f, t["w_num"]), nm.gather_rows(t["country_table"], cty_idx)),
+            t["b_p"],
+        )
+    )
+    q = nm.gather_rows(t["hs6_table"], hs6_idx)
+    interaction = nm.outer(p, q)
+    conv = nm.relu(nm.conv2d(interaction, t["conv_kernels"], t["conv_bias"]))
+    pooled = nm.reduce_mean(conv, axis=(2, 3))
+    g = nm.add(nm.matmul(pooled, t["w_pool"]), t["b_pool"])
+    z = nm.concat([p, g], axis=1)
+    h = nm.relu(nm.add(nm.matmul(z, t["w_fuse"]), t["b_fuse"]))
+    return p, q, g, h
+
+
+@functools.lru_cache(maxsize=1)
+def world_records():
+    cfg = SyntheticWorldConfig(5, (CountrySpec("A", 1100, 90, 0.05, (0, 1, 2)),), n_hs6=25)
+    return generate_world(cfg)["A"]
+
+
+def world_params(seed=0):
+    ds = world_records()
+    hs6 = {h: i for i, h in enumerate(sorted({r.hs6 for r in ds.records}))}
+    cty = {c: i for i, c in enumerate(sorted({r.country_code for r in ds.records}))}
+    return EncoderParams.init(np.random.default_rng(seed), hs6, cty, standardize_stats(ds))
+
+
+def graph_signature(root):
+    """Every node reachable from `root`, depth first: (vjp, shape, parents, requires_grad)."""
+    index, nodes = {}, []
+
+    def visit(node):
+        if id(node) not in index:
+            parents = tuple(visit(p) for p in node._parents)
+            index[id(node)] = len(nodes)
+            vjp = None if node._vjp is None else node._vjp.__qualname__
+            nodes.append((vjp, node.shape, parents, node.requires_grad))
+        return index[id(node)]
+
+    visit(root)
+    return nodes
+
+
+class TestBlockedInteraction:
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1061])
+    def test_scoring_entry_points_match_single_pass(self, n, monkeypatch):
+        from protobank import adapt, encoder
+
+        records = world_records().records[:n]
+        params = world_params()
+        model = adapt.AdaptParams.init(params, np.random.default_rng(1))
+        model.bank_matrix = np.random.default_rng(2).normal(size=(40, params.config.d))
+        model.use_memory = True
+
+        def outputs():
+            return [
+                embed_matrix(params, records),
+                score_records(params, records),
+                adapt.score_records(model, records),
+            ]
+
+        blocked = outputs()
+        monkeypatch.setattr(encoder, "embed_batch", single_pass_embed)
+        monkeypatch.setattr(adapt, "embed_batch", single_pass_embed)
+        monkeypatch.setattr(nm, "softmax", single_pass_softmax)
+        for got, want in zip(blocked, outputs()):
+            assert got.shape == want.shape and got.shape[0] == n
+            assert got.tobytes() == want.tobytes()
+
+    def test_graph_and_gradients_unchanged_under_grad(self):
+        records = world_records().records[:300]  # more than one interaction block
+        base = world_params(seed=3)
+        inputs = batch_inputs(base, records)
+        weights = Tensor(np.random.default_rng(4).normal(size=(300, base.config.d)))
+        runs = []
+        for forward in (embed_batch, single_pass_embed):
+            params = base.copy()
+            h = forward(params, *inputs)[3]
+            loss = nm.reduce_sum(nm.mul(h, weights))
+            loss.backward()
+            grads = {k: t.grad.tobytes() for k, t in params.tensors.items() if t.grad is not None}
+            runs.append((h.data.tobytes(), graph_signature(loss), grads))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+        assert "conv_kernels" in runs[0][2] and runs[0][2] == runs[1][2]
+
+    def test_embed_matrix_memory_peak(self):
+        records = world_records().records[:1024]
+        params = world_params()
+        tracemalloc.start()
+        try:
+            embed_matrix(params, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pass over the chunk peaks at 38 MiB: its conv2d and relu outputs are 16 MiB each
+        assert peak < 10 * 2**20

@@ -30,6 +30,37 @@ def test_softmax_shift_invariance():
     assert np.allclose(a, b, atol=1e-12)
 
 
+def single_pass_softmax(a, axis: int = -1) -> Tensor:
+    """Softmax with a fresh array for every step (oracle for the in-place one)."""
+    a = nm._wrap(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return ((g - dot) * out,)
+
+    return nm._node(out, (a,), vjp)
+
+
+@pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 9), 1), ((5, 9), 0), ((3, 1), 1)])
+def test_softmax_in_place_matches_oracle_and_keeps_input(shape, axis):
+    rng = np.random.default_rng(sum(shape) + axis)
+    x = rng.normal(size=shape) * 30
+    x.flat[0] = -0.0
+    a = Tensor(x.copy(), requires_grad=True)
+    b = Tensor(x.copy(), requires_grad=True)
+    got, want = nm.softmax(a, axis=axis), single_pass_softmax(b, axis=axis)
+    assert a.data.tobytes() == x.tobytes()
+    assert got.data.tobytes() == want.data.tobytes()
+    g = rng.normal(size=shape)
+    nm.reduce_sum(nm.mul(got, Tensor(g))).backward()
+    nm.reduce_sum(nm.mul(want, Tensor(g))).backward()
+    assert a.grad.tobytes() == b.grad.tobytes()
+    assert a.data.tobytes() == x.tobytes()
+
+
 def test_outer_definition():
     out = nm.outer(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
     assert np.array_equal(out.data, [[3.0, 4.0], [6.0, 8.0]])
@@ -294,11 +325,14 @@ def test_zero_grads():
 
 def test_no_grad_records_no_graph_and_keeps_flags():
     x = Tensor([1.0, 2.0], requires_grad=True)
+    assert nm.grad_enabled()
     with nm.no_grad():
         with nm.no_grad():
             inner = nm.mul(x, x)
         outer = nm.mul(x, x)  # still off after the nested block ends
+        assert not nm.grad_enabled()
     after = nm.mul(x, x)
+    assert nm.grad_enabled()
     assert inner._vjp is None and inner._parents == ()
     assert outer._vjp is None and outer._parents == ()
     assert after._vjp is not None
@@ -323,6 +357,7 @@ def test_no_grad_is_per_thread():
             entered.set()
             release.wait(timeout=30)
             seen["graph"] = nm.matmul(Tensor([[1.0, 1.0]]), w)._vjp
+            seen["enabled"] = nm.grad_enabled()
         seen["after"] = nm.matmul(Tensor([[1.0, 1.0]]), w)._vjp
 
     t = threading.Thread(target=scorer)
@@ -330,11 +365,13 @@ def test_no_grad_is_per_thread():
     assert entered.wait(timeout=30)
     try:
         assert np.array_equal(_grads_of(w), expected)  # other thread sits inside no_grad
+        assert nm.grad_enabled()
     finally:
         release.set()
         t.join(timeout=30)
     assert not t.is_alive()
     assert seen["graph"] is None and seen["after"] is not None
+    assert seen["enabled"] is False
     assert w.requires_grad
 
 
