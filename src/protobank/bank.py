@@ -11,6 +11,16 @@ Service framing (little-endian): request = u32 length | u8 opcode | body,
 response = u32 length | u8 status | body. Opcodes: PUT=1 (body is a
 prototype-set container), GET=2 (u32 count + count length-prefixed ids),
 LIST=3 (empty body). Status 0 carries a payload, status 1 a UTF-8 error.
+Replies: PUT an empty payload; GET u32 count + count length-prefixed
+containers, in request order; LIST u32 count + count x (length-prefixed id
+| u64 created_at). A length outside 1.._MAX_MESSAGE gets an error frame
+and the connection closes, since framing is lost; a request that cannot be
+served gets an error frame and the connection stays open.
+
+Frames are received into a per-connection buffer and decoded through
+views of it; replies go out with one scatter-gather send of their parts.
+A server connection ends when its peer hangs up or when one read or write
+waits longer than _IDLE_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -38,6 +48,10 @@ from .errors import DataError, FormatError, NumericError
 
 OP_PUT, OP_GET, OP_LIST = 1, 2, 3
 _MAX_MESSAGE = 256 * 1024 * 1024
+_FIRST_RECV = 64 * 1024  # receive buffer of a new connection
+_KEEP_RECV = 4 * 1024 * 1024  # a larger receive buffer is dropped after its frame
+_IOV_MAX = 1024  # buffers per sendmsg call (Linux and macOS limit)
+_IDLE_TIMEOUT = 300.0  # seconds a server connection may wait on one read or write
 
 
 # ---------------------------------------------------------------------------
@@ -284,42 +298,67 @@ class BankStore:
 # wire protocol
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        part = sock.recv(n - len(buf))
-        if not part:
-            raise ConnectionError("peer closed mid-message")
-        buf += part
-    return bytes(buf)
+class _RecvBuffer:
+    """One connection's receive buffer, reused from frame to frame.
+
+    It grows only as bytes arrive, so a header that declares a large frame
+    and then stalls or hangs up allocates no more than what came. Growing
+    replaces the buffer instead of resizing it: a bytearray cannot be
+    resized while a view of it is alive, and the caller may still hold a
+    view of the previous frame (its bytes are overwritten by the next one).
+    """
+
+    def __init__(self):
+        self.data = bytearray(_FIRST_RECV)
+
+    def recv(self, sock: socket.socket, n: int) -> memoryview:
+        """Exactly `n` bytes from `sock`, as a view valid until the next call."""
+        buf, got = self.data, 0
+        view = memoryview(buf)
+        while got < n:
+            if got == len(buf):
+                grown = bytearray(min(n, 2 * len(buf)))
+                grown[:got] = buf
+                buf, view = grown, memoryview(grown)
+            k = sock.recv_into(view[got:n])
+            if not k:
+                raise ConnectionError("peer closed mid-message")
+            got += k
+        if len(buf) <= _KEEP_RECV:
+            self.data = buf
+        return view[:n]
 
 
-def _read_frame(sock: socket.socket) -> tuple[int, bytes] | None:
-    head = b""
+def _read_frame(sock: socket.socket, rx: _RecvBuffer) -> tuple[int, memoryview] | None:
+    """(tag, payload) of the next frame, or None if the peer closed before one began."""
     try:
-        head = _read_exact(sock, 4)
+        (length,) = struct.unpack("<I", rx.recv(sock, 4))
     except ConnectionError:
         return None
-    (length,) = struct.unpack("<I", head)
     if not 1 <= length <= _MAX_MESSAGE:
         raise FormatError(f"bad frame length {length}")
-    body = _read_exact(sock, length)
+    body = rx.recv(sock, length)
     return body[0], body[1:]
 
 
-def _write_frame(sock: socket.socket, tag: int, body: bytes) -> None:
-    sock.sendall(struct.pack("<I", 1 + len(body)) + bytes([tag]) + body)
-
-
-def _pack_blob(data: bytes) -> bytes:
-    return struct.pack("<I", len(data)) + data
+def _write_frame(sock: socket.socket, tag: int, parts) -> None:
+    """Send one frame whose body is the concatenation of the bytes-like `parts`."""
+    bufs = [struct.pack("<IB", 1 + sum(map(len, parts)), tag), *parts]
+    i = 0
+    while i < len(bufs):  # sendmsg may send only a prefix
+        sent = sock.sendmsg(bufs[i : i + _IOV_MAX])
+        while i < len(bufs) and len(bufs[i]) <= sent:
+            sent -= len(bufs[i])
+            i += 1
+        if sent:
+            bufs[i] = memoryview(bufs[i])[sent:]
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
-        self.data, self.pos = data, 0
+    def __init__(self, data):
+        self.data, self.pos = memoryview(data), 0
 
-    def blob(self) -> bytes:
+    def blob(self) -> memoryview:
         if self.pos + 4 > len(self.data):
             raise FormatError("truncated message body")
         (n,) = struct.unpack_from("<I", self.data, self.pos)
@@ -348,43 +387,52 @@ class _Cursor:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         store: BankStore = self.server.store  # type: ignore[attr-defined]
-        while True:
-            try:
-                frame = _read_frame(self.request)
-            except FormatError as e:  # bad length: framing is lost, so answer and close
+        sock = self.request
+        sock.settimeout(_IDLE_TIMEOUT)
+        rx = _RecvBuffer()
+        try:
+            while True:
                 try:
-                    _write_frame(self.request, 1, str(e).encode("utf-8"))
-                except OSError:
-                    pass
-                return
-            except OSError:
-                return
-            if frame is None:
-                return
-            opcode, body = frame
-            try:
-                reply = self._dispatch(store, opcode, body)
-            except (DataError, FormatError, UnicodeDecodeError, OSError) as e:
-                _write_frame(self.request, 1, str(e).encode("utf-8"))
-                continue
-            _write_frame(self.request, 0, reply)
+                    frame = _read_frame(sock, rx)
+                except FormatError as e:  # bad length: framing is lost, so answer and close
+                    _write_frame(sock, 1, [str(e).encode("utf-8")])
+                    return
+                if frame is None:
+                    return
+                opcode, body = frame
+                try:
+                    status, reply = 0, self._dispatch(store, opcode, body)
+                except (DataError, FormatError, UnicodeDecodeError, OSError) as e:
+                    status, reply = 1, [str(e).encode("utf-8")]
+                _write_frame(sock, status, reply)
+        except OSError:  # the peer hung up or reset, or a read or write timed out
+            return
 
     @staticmethod
-    def _dispatch(store: BankStore, opcode: int, body: bytes) -> bytes:
+    def _dispatch(store: BankStore, opcode: int, body) -> list[bytes]:
+        """The reply body as a list of parts, sent without joining them."""
         if opcode == OP_PUT:
             store.put(body)
-            return b""
+            return []
         if opcode == OP_GET:
             cur = _Cursor(body)
-            ids = [cur.blob().decode("utf-8") for _ in range(cur.u32())]
-            blobs = [store.get(sid) for sid in ids]
-            return struct.pack("<I", len(blobs)) + b"".join(_pack_blob(b) for b in blobs)
+            ids = [str(cur.blob(), "utf-8") for _ in range(cur.u32())]
+            parts = [struct.pack("<I", len(ids))]
+            size = 1 + 4 + 4 * len(ids)
+            for sid in ids:
+                blob = store.get(sid)
+                size += len(blob)
+                if size > _MAX_MESSAGE:
+                    raise DataError(f"GET reply exceeds the {_MAX_MESSAGE}-byte frame limit")
+                parts += (struct.pack("<I", len(blob)), blob)
+            return parts
         if opcode == OP_LIST:
             entries = store.list()
-            out = struct.pack("<I", len(entries))
+            parts = [struct.pack("<I", len(entries))]
             for sid, created_at in entries:
-                out += _pack_blob(sid.encode("utf-8")) + struct.pack("<Q", created_at)
-            return out
+                b = sid.encode("utf-8")
+                parts += (struct.pack("<I", len(b)), b, struct.pack("<Q", created_at))
+            return parts
         raise FormatError(f"unknown opcode {opcode}")
 
 
@@ -416,6 +464,7 @@ class BankClient:
 
     def __init__(self, address: tuple[str, int], timeout: float = 30.0):
         self.sock = socket.create_connection(address, timeout=timeout)
+        self._rx = _RecvBuffer()
 
     def close(self) -> None:
         self.sock.close()
@@ -426,14 +475,15 @@ class BankClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _call(self, opcode: int, body: bytes) -> bytes:
-        _write_frame(self.sock, opcode, body)
-        frame = _read_frame(self.sock)
+    def _call(self, opcode: int, *parts) -> memoryview:
+        """Send one request; the reply payload is a view valid until the next call."""
+        _write_frame(self.sock, opcode, parts)
+        frame = _read_frame(self.sock, self._rx)
         if frame is None:
             raise ConnectionError("server closed connection")
         status, payload = frame
         if status != 0:
-            raise DataError(payload.decode("utf-8", "replace"))
+            raise DataError(str(payload, "utf-8", "replace"))
         return payload
 
     def put(self, prototype_set: PrototypeSet | bytes) -> None:
@@ -445,14 +495,11 @@ class BankClient:
         self._call(OP_PUT, data)
 
     def get(self, source_ids: list[str]) -> list[bytes]:
-        body = struct.pack("<I", len(source_ids)) + b"".join(
-            _pack_blob(s.encode("utf-8")) for s in source_ids
-        )
-        payload = self._call(OP_GET, body)
-        cur = _Cursor(payload)
-        return [cur.blob() for _ in range(cur.u32())]
+        ids = [s.encode("utf-8") for s in source_ids]
+        body = struct.pack("<I", len(ids)) + b"".join(struct.pack("<I", len(i)) + i for i in ids)
+        cur = _Cursor(self._call(OP_GET, body))
+        return [bytes(cur.blob()) for _ in range(cur.u32())]
 
     def list(self) -> list[tuple[str, int]]:
-        payload = self._call(OP_LIST, b"")
-        cur = _Cursor(payload)
-        return [(cur.blob().decode("utf-8"), cur.u64()) for _ in range(cur.u32())]
+        cur = _Cursor(self._call(OP_LIST))
+        return [(str(cur.blob(), "utf-8"), cur.u64()) for _ in range(cur.u32())]

@@ -46,20 +46,26 @@ class PrototypeSet:
     format_version: int = FORMAT_VERSION
 
     def validate(self) -> None:
+        for name, m in self._validate_layout():
+            if not np.all(np.isfinite(m)):
+                raise DataError(f"{name}: non-finite prototype values")
+
+    def _validate_layout(self) -> tuple[tuple[str, np.ndarray], ...]:
+        """Every check of `validate` but finiteness; returns the named matrices."""
         if not self.source_id:
             raise DataError("prototype set needs a nonempty source_id")
         if self.dim < 1:
             raise DataError("prototype dimension must be positive")
-        for name, m in (
+        matrices = (
             ("fraud_prototypes", self.fraud_prototypes),
             ("nonfraud_prototypes", self.nonfraud_prototypes),
-        ):
+        )
+        for name, m in matrices:
             if m.ndim != 2 or m.shape[1] != self.dim:
                 raise DataError(f"{name}: expected (*, {self.dim}), got {m.shape}")
             if m.shape[0] < 1:
                 raise DataError(f"{name}: at least one prototype required")
-            if not np.all(np.isfinite(m)):
-                raise DataError(f"{name}: non-finite prototype values")
+        return matrices
 
     @property
     def n_rows(self) -> int:
@@ -108,16 +114,16 @@ class MemoryBank:
 # low-level readers/writers
 
 
-def _checksum(data: bytes) -> int:
+def _checksum(data) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise FormatError("truncated stream")
         out = self.data[self.pos : self.pos + n]
@@ -133,25 +139,28 @@ class _Reader:
     def string(self) -> str:
         n = self.u32()
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"bad utf-8 string: {e}") from None
 
 
 def _finish(body: bytearray) -> bytes:
-    body += struct.pack("<Q", _checksum(bytes(body)))
+    body += struct.pack("<Q", _checksum(body))
     return bytes(body)
 
 
-def _open(data: bytes, magic: bytes) -> _Reader:
+def _open(data, magic: bytes) -> _Reader:
+    """A reader of the checksummed body of bytes-like `data`, past magic and version."""
+    data = memoryview(data)
     if len(data) < len(magic) + 12:
         raise FormatError("truncated stream")
     if data[: len(magic)] != magic:
-        raise FormatError(f"bad magic {data[:8]!r}")
-    stored = struct.unpack("<Q", data[-8:])[0]
-    if _checksum(data[:-8]) != stored:
+        raise FormatError(f"bad magic {bytes(data[:8])!r}")
+    (stored,) = struct.unpack_from("<Q", data, len(data) - 8)
+    body = data[:-8]
+    if _checksum(body) != stored:
         raise FormatError("checksum mismatch")
-    r = _Reader(data[:-8])
+    r = _Reader(body)
     r.pos = len(magic)
     version = r.u32()
     if version != FORMAT_VERSION:
@@ -164,11 +173,13 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(b)) + b
 
 
-def _f64_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _put_f64(body: bytearray, arr: np.ndarray) -> None:
+    # extend reads the array's buffer in place; memoryview.cast would refuse a zero-size one
+    body.extend(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _read_f64(r: _Reader, shape: tuple[int, ...]) -> np.ndarray:
+    """The next `shape` float64 values as an array that owns its data."""
     count = math.prod(shape)  # Python ints: a u32 x u32 count must not wrap
     raw = r.take(count * 8)
     arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
@@ -193,8 +204,8 @@ def _ser_prototype_set(ps: PrototypeSet) -> bytes:
     )
     body += _pack_str(ps.source_id)
     body += struct.pack("<Q", ps.created_at)
-    body += _f64_bytes(ps.fraud_prototypes)
-    body += _f64_bytes(ps.nonfraud_prototypes)
+    _put_f64(body, ps.fraud_prototypes)
+    _put_f64(body, ps.nonfraud_prototypes)
     return _finish(body)
 
 
@@ -208,7 +219,7 @@ def _deser_prototype_set(data: bytes) -> PrototypeSet:
     if r.pos != len(r.data):
         raise FormatError("trailing bytes after payload")
     ps = PrototypeSet(source_id, dim, fraud, nonfraud, created_at)
-    ps.validate()
+    ps._validate_layout()  # _read_f64 checked finiteness
     return ps
 
 
@@ -241,10 +252,11 @@ def serialize(obj: PrototypeSet | MemoryBank) -> bytes:
     raise DataError(f"cannot serialize {type(obj).__name__}")
 
 
-def deserialize(data: bytes) -> PrototypeSet | MemoryBank:
+def deserialize(data) -> PrototypeSet | MemoryBank:
+    """Decode bytes-like `data`; every array of the result owns its values."""
     if len(data) < 8:
         raise FormatError("truncated stream")
-    magic = data[:8]
+    magic = bytes(data[:8])
     if magic == MAGIC_PROTOTYPES:
         return _deser_prototype_set(data)
     if magic == MAGIC_BANK:
@@ -266,11 +278,11 @@ def write_envelope(meta: dict, tensors: dict[str, np.ndarray]) -> bytes:
         body += _pack_str(name)
         body += struct.pack("<I", arr.ndim)
         body += struct.pack(f"<{arr.ndim}I", *arr.shape)
-        body += _f64_bytes(arr)
+        _put_f64(body, arr)
     return _finish(body)
 
 
-def read_envelope(data: bytes) -> tuple[dict, dict[str, np.ndarray]]:
+def read_envelope(data) -> tuple[dict, dict[str, np.ndarray]]:
     r = _open(data, MAGIC_PARAMS)
     try:
         meta = json.loads(r.string())

@@ -162,6 +162,17 @@ def _parse_row(row: dict[str, str], line: int) -> ImportDeclaration:
     return rec
 
 
+def _line_of_bad_utf8(path) -> int:
+    """1-based number of the first line of `path` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):  # no UTF-8 sequence contains a newline byte
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
+
+
 def load_csv(
     path, schema: dict[str, str] | None = None, country_id: str | None = None
 ) -> CountryDataset:
@@ -175,14 +186,27 @@ def load_csv(
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = [c for c in colmap.values() if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path}: header missing columns {missing}")
-        for row in reader:
-            canon = {f: row[c] for f, c in colmap.items()}
-            records.append(_parse_row(canon, reader.line_num))
+        try:
+            if reader.fieldnames is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = [c for c in colmap.values() if c not in reader.fieldnames]
+            if missing:
+                raise SchemaError(f"{path}: header missing columns {missing}")
+            for row in reader:
+                canon = {f: row[c] for f, c in colmap.items()}
+                try:
+                    records.append(_parse_row(canon, reader.line_num))
+                except (AttributeError, TypeError):
+                    if None not in canon.values():  # DictReader's fill for a short row
+                        raise
+                    line = reader.line_num
+                    raise SchemaError(f"{path}: line {line}: fewer fields than the header") from None
+        except csv.Error as e:
+            # DictReader.line_num stops at the last whole row; its reader's counts this one
+            raise SchemaError(f"{path}: line {reader.reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:
+            line = _line_of_bad_utf8(path)
+            raise SchemaError(f"{path}: line {line}: not UTF-8 ({e.reason})") from None
     cid = country_id if country_id is not None else str(path)
     return CountryDataset.build(cid, records)
 

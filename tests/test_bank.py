@@ -3,6 +3,8 @@ import socket
 import struct
 import tempfile
 import threading
+import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protobank import bank as bank_module
 from protobank.bank import (
     OP_GET,
     OP_LIST,
@@ -24,13 +27,18 @@ from protobank.bank import (
     _Handler,
     _draw,
     _lloyd,
-    _pack_blob,
     _read_frame,
+    _write_frame,
+    _RecvBuffer,
     _sq_dists,
 )
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.errors import DataError, FormatError, NumericError
 from tests.test_pretrain import separable_dataset
+
+
+def _pack_blob(data: bytes) -> bytes:
+    return struct.pack("<I", len(data)) + data
 
 
 def reference_lloyd(points, k, rng, iters=60):
@@ -499,11 +507,11 @@ class TestBankService:
     def test_bad_frame_length_answers_error_frame_then_closes(self, server, length):
         with socket.create_connection(server.address, timeout=10) as sock:
             sock.sendall(struct.pack("<I", length))
-            frame = _read_frame(sock)
+            frame = _read_frame(sock, _RecvBuffer())
             assert frame is not None
             status, payload = frame
             assert status == 1
-            assert b"bad frame length" in payload
+            assert b"bad frame length" in bytes(payload)
             assert sock.recv(1) == b""  # framing is lost, so the server closes
 
     def test_store_read_error_answers_error_frame_on_live_connection(self, server, monkeypatch):
@@ -516,6 +524,63 @@ class TestBankService:
             with pytest.raises(DataError, match="read failed"):
                 client.get(["AA"])
             assert client.list() == [("AA", 42)]
+
+    @staticmethod
+    def _watch_connections(server, monkeypatch):
+        """Lists that collect `handle_error` calls and, in order, the connections that ended."""
+        errors, done = [], []
+        monkeypatch.setattr(server, "handle_error", lambda request, address: errors.append(address))
+        shutdown_request = server.shutdown_request
+
+        def finished(request):
+            shutdown_request(request)
+            done.append(request)
+
+        monkeypatch.setattr(server, "shutdown_request", finished)
+        return errors, done
+
+    @staticmethod
+    def _wait_for(predicate, seconds=10.0):
+        deadline = time.monotonic() + seconds
+        while not predicate():
+            assert time.monotonic() < deadline, "timed out"
+            time.sleep(0.01)
+
+    def test_client_hanging_up_before_its_reply_ends_the_connection_quietly(
+        self, server, monkeypatch
+    ):
+        errors, done = self._watch_connections(server, monkeypatch)
+        for j in range(3):  # a 15 MB reply, far beyond the socket buffers
+            server.store.put(serialize(random_bank(32, 20_000, seed=j, source_id=f"S{j}")))
+        body = struct.pack("<I", 3) + b"".join(_pack_blob(f"S{j}".encode()) for j in range(3))
+        sock = socket.create_connection(server.address, timeout=10)
+        sock.sendall(struct.pack("<IB", 1 + len(body), OP_GET) + body)
+        sock.recv(4)  # the reply has started
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()  # reset, with most of the reply unsent
+        self._wait_for(lambda: len(done) == 1)
+        assert errors == []
+        with BankClient(server.address) as client:
+            assert [s for s, _ in client.list()] == ["S0", "S1", "S2"]
+
+    def test_idle_connections_time_out(self, server, monkeypatch):
+        errors, done = self._watch_connections(server, monkeypatch)
+        monkeypatch.setattr(bank_module, "_IDLE_TIMEOUT", 0.5)
+        idle = socket.create_connection(server.address, timeout=10)
+        mid_header = socket.create_connection(server.address, timeout=10)
+        mid_header.sendall(b"\x10\x00")
+        mid_body = socket.create_connection(server.address, timeout=10)
+        mid_body.sendall(struct.pack("<IB", 100, OP_PUT) + b"x" * 10)
+        with BankClient(server.address) as client:  # served while the others wait
+            client.put(self._proto("AA"))
+            assert client.list() == [("AA", 42)]
+        for sock in (idle, mid_header, mid_body):
+            with sock:
+                assert sock.recv(1) == b""  # closed by the server
+        self._wait_for(lambda: len(done) == 4)
+        assert errors == []
+        with BankClient(server.address) as client:
+            assert client.get(["AA"]) == [serialize(self._proto("AA"))]
 
 
 class TestBankStore:
@@ -593,7 +658,7 @@ class TestDispatchContract:
                 reply = _Handler._dispatch(store, opcode, body)
             except (DataError, FormatError, UnicodeDecodeError, OSError):
                 return
-            assert isinstance(reply, bytes)
+            assert isinstance(reply, list) and all(isinstance(p, bytes) for p in reply)
 
     def test_put_with_overflowing_row_count_is_refused(self, tmp_path):
         body = bytearray(serialize(_STORED)[:-8])
@@ -601,3 +666,153 @@ class TestDispatchContract:
         blob = bytes(body) + struct.pack("<Q", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
         with pytest.raises(FormatError):
             _Handler._dispatch(BankStore(tmp_path), OP_PUT, blob)
+
+
+def _old_frame(tag: int, body: bytes) -> bytes:
+    """The frame bytes the exchange has always sent: the oracle for `_write_frame`."""
+    return struct.pack("<I", 1 + len(body)) + bytes([tag]) + body
+
+
+class _ChunkySocket:
+    """A socket that receives `incoming` in random chunks and sends random prefixes."""
+
+    def __init__(self, incoming: bytes = b"", seed: int = 0, max_chunk: int = 70_000):
+        self.incoming, self.pos = incoming, 0
+        self.rng = np.random.default_rng(seed)
+        self.max_chunk = max_chunk
+        self.sent = bytearray()
+
+    def recv_into(self, view) -> int:
+        n = min(len(view), len(self.incoming) - self.pos, int(self.rng.integers(1, self.max_chunk)))
+        view[:n] = self.incoming[self.pos : self.pos + n]
+        self.pos += n
+        return n
+
+    def sendmsg(self, buffers) -> int:
+        assert len(buffers) <= bank_module._IOV_MAX
+        data = b"".join(buffers)
+        n = int(self.rng.integers(1, len(data) + 1)) if data else 0
+        self.sent += data[:n]
+        return n
+
+
+def _parts(seed: int, sizes: list[int]) -> list[bytes]:
+    rng = np.random.default_rng(seed)
+    return [rng.bytes(n) for n in sizes]
+
+
+class TestWireFrames:
+    """`_write_frame` sends the old bytes; `_read_frame` returns what was sent."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 255),
+                st.one_of(
+                    st.lists(st.integers(0, 300), max_size=8),
+                    st.lists(st.sampled_from([0, 4, 8, 40_000, 300_000]), max_size=4),
+                    st.integers(1020, 2100).map(lambda n: [4, 0, 9] * (n // 3)),  # > _IOV_MAX parts
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_frames_round_trip_in_random_chunks(self, frames, seed):
+        out = _ChunkySocket(seed=seed)
+        expected = []
+        for k, (tag, sizes) in enumerate(frames):
+            parts = _parts(seed + k, sizes)
+            _write_frame(out, tag, parts)
+            expected.append((tag, b"".join(parts)))
+        assert bytes(out.sent) == b"".join(_old_frame(tag, body) for tag, body in expected)
+        sock, rx = _ChunkySocket(bytes(out.sent), seed=seed + 1), _RecvBuffer()
+        for tag, body in expected:
+            got_tag, payload = _read_frame(sock, rx)
+            assert (got_tag, bytes(payload)) == (tag, body)
+        assert _read_frame(sock, rx) is None
+
+    def test_larger_frame_while_previous_payload_is_alive(self):
+        small, large = b"s" * 10, _parts(1, [1_000_000])[0]
+        big = _parts(2, [bank_module._KEEP_RECV + 1])[0]
+        sock = _ChunkySocket(_old_frame(1, small) + _old_frame(2, large) + _old_frame(3, big))
+        rx = _RecvBuffer()
+        first = _read_frame(sock, rx)
+        assert bytes(first[1]) == small
+        second = _read_frame(sock, rx)  # grows the buffer while `first` holds a view of it
+        assert (second[0], bytes(second[1])) == (2, large)
+        third = _read_frame(sock, rx)
+        assert (third[0], bytes(third[1])) == (3, big)
+        assert len(rx.data) <= bank_module._KEEP_RECV  # not kept past its frame
+
+    @pytest.mark.parametrize("received", [0, 1_000_000])
+    def test_declared_length_is_not_allocated_before_it_arrives(self, received):
+        head = struct.pack("<I", 200 * 1024 * 1024) + bytes(received)
+        sock, rx = _ChunkySocket(head), _RecvBuffer()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConnectionError):
+                _read_frame(sock, rx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
+
+    def test_replies_join_to_the_old_bodies(self, tmp_path):
+        store = BankStore(tmp_path)
+        blobs = [serialize(random_bank(4, 6, seed=j, source_id=f"S{j}")) for j in range(3)]
+        for blob in blobs:
+            store.put(blob)
+        ids = ["S2", "S0", "S2"]
+        reply = _Handler._dispatch(store, OP_GET, _ids_body(3, [i.encode() for i in ids]))
+        by_id = dict(zip(["S0", "S1", "S2"], blobs))
+        old_get = struct.pack("<I", 3) + b"".join(_pack_blob(by_id[i]) for i in ids)
+        assert b"".join(reply) == old_get
+        old_list = struct.pack("<I", 3)
+        for sid in ("S0", "S1", "S2"):
+            old_list += _pack_blob(sid.encode()) + struct.pack("<Q", 0)
+        assert b"".join(_Handler._dispatch(store, OP_LIST, b"")) == old_list
+        assert _Handler._dispatch(store, OP_PUT, blobs[0]) == []
+
+    def test_get_reply_over_the_frame_limit_is_refused(self, tmp_path, monkeypatch):
+        store = BankStore(tmp_path)
+        blob = serialize(random_bank(4, 6, seed=0, source_id="S0"))
+        store.put(blob)
+        limit = 1 + 4 + 2 * (4 + len(blob))
+        monkeypatch.setattr(bank_module, "_MAX_MESSAGE", limit)
+        reply = _Handler._dispatch(store, OP_GET, _ids_body(2, [b"S0"] * 2))
+        assert 1 + len(b"".join(reply)) == limit  # exactly at the limit: served
+        with pytest.raises(DataError, match="frame limit"):
+            _Handler._dispatch(store, OP_GET, _ids_body(3, [b"S0"] * 3))
+
+    def test_client_requests_are_the_old_frames(self):
+        """What `BankClient` sends for PUT, GET and LIST, read off a one-shot server."""
+        blob = serialize(random_bank(4, 6, seed=0, source_id="S0"))
+        calls = [
+            (lambda c: c.put(blob), _old_frame(OP_PUT, blob), b""),
+            (lambda c: c.get(["S0", "é"]),
+             _old_frame(OP_GET, _ids_body(2, [b"S0", "é".encode()])),
+             _ids_body(2, [blob, b"x"])),
+            (lambda c: c.list(), _old_frame(OP_LIST, b""), b"\0\0\0\0"),
+        ]
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            received = []
+
+            def serve():
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as reader:
+                    for _, request, reply in calls:
+                        received.append(reader.read(len(request)))
+                        conn.sendall(_old_frame(0, reply))
+
+            thread = threading.Thread(target=serve)
+            thread.start()
+            with BankClient(listener.getsockname()) as client:
+                results = [call(client) for call, _, _ in calls]
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert received == [request for _, request, _ in calls]
+        assert results == [None, [blob, b"x"], []]
+        assert all(type(b) is bytes for b in results[1])

@@ -194,6 +194,22 @@ class TestExitCodes:
         bad.write_text("id,date\n1,2024-01-01\n")
         assert main(["eval", "--model", str(pretrained), "--data", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            b"1,2024-01-02,1.0",  # fewer fields than the header
+            b'1,2024-01-02,1.0,2.0,"' + b"9" * 140_000 + b'",US,10.0,1.0,0,0',  # past csv's limit
+            b"1,2024-01-02,1.0,2.0,100\xff01,US,10.0,1.0,0,0",  # not UTF-8
+        ],
+        ids=["short", "long-field", "not-utf8"],
+    )
+    def test_unreadable_csv_row_is_data_error(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"id,date,quantity,gross_weight,hs6,country_code,cif_value,total_taxes,"
+                        b"illicit,revenue\n0,2024-01-01,1.0,2.0,100001,US,10.0,1.0,0,0\n" + row + b"\n")
+        assert main(["pretrain", "--data", str(bad), "--out", str(tmp_path / "m.pbm")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_bad_address_is_usage_error(self):
         assert main(["fetch-bank", "--from", "nonsense", "--sources", "A",
                      "--out", "/tmp/x.pbk"]) == 1

@@ -1,3 +1,5 @@
+import os
+import tempfile
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -19,6 +21,9 @@ from protobank.declarations import (
     write_csv,
 )
 from protobank.errors import DataError, SchemaError
+
+
+_CSV_HEADER = b"id,date,quantity,gross_weight,hs6,country_code,cif_value,total_taxes,illicit,revenue\n"
 
 
 def make_record(i, day=0, illicit=False, revenue=0.0, hs6="100001", cc="US"):
@@ -133,6 +138,46 @@ class TestCsv:
         assert ds.records[0].quantity == 1.0
         with pytest.raises(SchemaError, match="missing columns"):
             load_csv(path, country_id="T")
+
+    @pytest.mark.parametrize(
+        "third_line, message",
+        [
+            (b"1,2024-01-02,1.0", "fewer fields"),
+            (b'1,2024-01-02,1.0,2.0,"' + b"9" * 140_000 + b'",US,10.0,1.0,0,0', "field limit"),
+            (b"1,2024-01-02,1.0,2.0,100\xff01,US,10.0,1.0,0,0", "not UTF-8"),
+        ],
+        ids=["short", "long-field", "not-utf8"],
+    )
+    def test_unreadable_row_names_its_line(self, tmp_path, third_line, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(_CSV_HEADER + b"0,2024-01-01,1.0,2.0,100001,US,10.0,1.0,0,0\n"
+                         + third_line + b"\n4,2024-01-04,1.0,2.0,100001,US,10.0,1.0,0,0\n")
+        with pytest.raises(SchemaError, match=f"line 3: .*{message}"):
+            load_csv(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=60),
+                st.lists(st.sampled_from(["0", "1", "", "2024-01-01", "100001", "US", "1e999",
+                                          "nan", "-1", '"', "\n", "\r", "x,y", "\xe9"]),
+                         max_size=12).map(lambda f: ",".join(f).encode("utf-8")),
+                st.just(b"0,2024-01-01,1.0,2.0,100001,US,10.0,1.0,0,0"),
+            ),
+            max_size=5,
+        ),
+    )
+    def test_any_body_loads_or_raises_a_data_error(self, lines):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "t.csv")
+            with open(path, "wb") as fh:
+                fh.write(_CSV_HEADER + b"\n".join(lines))
+            try:
+                ds = load_csv(path)
+            except DataError:  # SchemaError included
+                return
+            assert isinstance(ds, CountryDataset)
 
 
 class TestSplit:
