@@ -32,7 +32,6 @@ from .evaluation import (
     default_world_config,
     emit_report,
     revenue_at_k,
-    run_scenario,
     suite_configs,
 )
 from .pretrain import PretrainConfig, pretrain, scl_loss, select_fraud_like
@@ -74,7 +73,6 @@ __all__ = [
     "random_bank",
     "refine",
     "revenue_at_k",
-    "run_scenario",
     "scl_loss",
     "select_fraud_like",
     "serialize",

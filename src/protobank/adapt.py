@@ -46,7 +46,6 @@ class FinetuneConfig:
     init_from_source: bool = False
     use_memory: bool = True
     use_calibration: bool = True  # False wires the attended summary in directly
-    freeze_encoder: bool = False
     seed: int = 0
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
@@ -99,27 +98,18 @@ class AdaptParams:
         return merged
 
 
-def _bank_rows(memory) -> np.ndarray:
-    if isinstance(memory, MemoryBank):
-        return memory.matrix()
+def memory_attend(h, memory) -> tuple[Tensor, Tensor]:
+    """Softmax dot-product attention of each row of h over every bank row.
+
+    h: (N, d); memory: the (M, d) bank matrix. Returns (attended, weights),
+    (N, d) and (N, M).
+    """
     rows = np.asarray(memory, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1:
         raise DataError("memory bank is empty")
-    return rows
-
-
-def memory_attend(h, memory) -> tuple[Tensor, Tensor]:
-    """Softmax dot-product attention of h over every prototype in the bank.
-
-    Accepts a single d-vector or an (N, d) batch; returns (attended, weights).
-    """
-    rows = _bank_rows(memory)
     ht = h if isinstance(h, Tensor) else Tensor(h)
-    if ht.data.ndim == 1:
-        attended, weights = memory_attend(nm.reshape(ht, (1, -1)), rows)
-        return nm.reshape(attended, (-1,)), nm.reshape(weights, (-1,))
     if ht.data.ndim != 2:
-        raise ShapeError(f"memory_attend expects a vector or matrix, got {ht.shape}")
+        raise ShapeError(f"memory_attend expects an (N, d) matrix, got {ht.shape}")
     if ht.shape[1] != rows.shape[1]:
         raise ShapeError(f"dimension mismatch: h has {ht.shape[1]}, bank has {rows.shape[1]}")
     bank = Tensor(rows)
@@ -228,10 +218,6 @@ def finetune(
     params.use_calibration = cfg.use_calibration
 
     trainable = params.all_tensors()
-    if cfg.freeze_encoder:
-        trainable = dict(params.tensors)
-        trainable["head_w"] = params.encoder.tensors["head_w"]
-        trainable["head_b"] = params.encoder.tensors["head_b"]
     opt = OptimizerState(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
     feats, hs6_idx, cty_idx = batch_inputs(params.encoder, labeled)
 

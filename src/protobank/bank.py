@@ -57,6 +57,10 @@ _IDLE_TIMEOUT = 300.0  # seconds a server connection may wait on one read or wri
 # ---------------------------------------------------------------------------
 # k-means
 
+_KMEANS_RESTARTS = 10
+_KMEANS_MAX_ITERS = 100
+_KMEANS_TOL = 1e-6  # Lloyd stops once no centroid moves this far
+
 
 @dataclass
 class KMeansResult:
@@ -103,9 +107,7 @@ def _seed_centroids(
     return points[chosen].copy()
 
 
-def _lloyd(
-    points: np.ndarray, sq_norms: np.ndarray, k: int, rng, max_iters: int, tol: float
-) -> KMeansResult:
+def _lloyd(points: np.ndarray, sq_norms: np.ndarray, k: int, rng) -> KMeansResult:
     n = points.shape[0]
     centroids = _seed_centroids(points, sq_norms, k, rng)
     # distances to the current centroids: they give the assignment and, after
@@ -114,7 +116,7 @@ def _lloyd(
     assign = np.zeros(n, dtype=np.int64)
     history: list[float] = []
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _KMEANS_MAX_ITERS + 1):
         assign = d2.argmin(axis=1)
         counts = np.bincount(assign, minlength=k)
         for empty in np.flatnonzero(counts == 0):
@@ -131,23 +133,17 @@ def _lloyd(
         centroids = new_centroids
         d2 = _sq_dists(points, sq_norms, centroids)
         history.append(float(d2[np.arange(n), assign].sum()))
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
     return KMeansResult(centroids, assign, history[-1], history, it)
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    n_init: int = 10,
-) -> KMeansResult:
-    """Seeded Lloyd iterations with n_init restarts, keeping the best objective.
+def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
+    """Seeded k-means of an (n, d) matrix: 10 restarts, keeping the best objective.
 
-    Empty clusters are repaired by reseeding them to the point currently
-    farthest from its own centroid. Deterministic for a fixed seed.
+    Each restart runs at most 100 Lloyd iterations. Empty clusters are
+    repaired by reseeding them to the point currently farthest from its own
+    centroid. Deterministic for a fixed seed.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -156,14 +152,12 @@ def kmeans(
         raise NumericError("kmeans input contains non-finite values")
     if k < 1:
         raise DataError("k must be at least 1")
-    if max_iters < 1 or n_init < 1:
-        raise DataError("max_iters and n_init must be at least 1")
     k = min(k, points.shape[0])
     rng = np.random.default_rng(seed)
     sq_norms = (points * points).sum(axis=1)
     best: KMeansResult | None = None
-    for _ in range(n_init):
-        result = _lloyd(points, sq_norms, k, rng, max_iters, tol)
+    for _ in range(_KMEANS_RESTARTS):
+        result = _lloyd(points, sq_norms, k, rng)
         if best is None or result.objective < best.objective:
             best = result
         if best.objective == 0.0:

@@ -67,8 +67,8 @@ def _echo_config(name: str, args: argparse.Namespace) -> None:
 
 def _parse_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"address {text!r} must look like host:port")
+    if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise UsageError(f"address {text!r} must look like host:port with a port in 0-65535")
     return host, int(port)
 
 

@@ -173,31 +173,22 @@ def _line_of_bad_utf8(path) -> int:
     return 0
 
 
-def load_csv(
-    path, schema: dict[str, str] | None = None, country_id: str | None = None
-) -> CountryDataset:
-    """Read a declarations CSV; `schema` maps canonical field -> file column."""
-    colmap = {f: f for f in CSV_COLUMNS}
-    if schema:
-        unknown = set(schema) - set(CSV_COLUMNS)
-        if unknown:
-            raise SchemaError(f"schema maps unknown fields: {sorted(unknown)}")
-        colmap.update(schema)
+def load_csv(path, country_id: str | None = None) -> CountryDataset:
+    """Read a declarations CSV whose header names every column of `CSV_COLUMNS`."""
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None:
                 raise SchemaError(f"{path}: empty file")
-            missing = [c for c in colmap.values() if c not in reader.fieldnames]
+            missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
             if missing:
                 raise SchemaError(f"{path}: header missing columns {missing}")
             for row in reader:
-                canon = {f: row[c] for f, c in colmap.items()}
                 try:
-                    records.append(_parse_row(canon, reader.line_num))
+                    records.append(_parse_row(row, reader.line_num))
                 except (AttributeError, TypeError):
-                    if None not in canon.values():  # DictReader's fill for a short row
+                    if None not in row.values():  # DictReader's fill for a short row
                         raise
                     line = reader.line_num
                     raise SchemaError(f"{path}: line {line}: fewer fields than the header") from None

@@ -86,7 +86,6 @@ class ScenarioConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     inspection_rate: float = 0.05
     variant: str | None = None  # ablation component to drop
-    share_params: bool = True
 
     def validate(self) -> None:
         if self.kind not in SCENARIO_KINDS:
@@ -246,14 +245,10 @@ class ScenarioRunner:
             bank = assemble(protos)
             if cfg.kind == "random_memory":
                 bank = assemble([random_bank(bank.dim, max(2, len(bank)), seed)])
-            src = (
-                self.pretrained(cfg.source_ids[0], seed, use_inter, scl_on)
-                if cfg.share_params
-                else None
-            )
+            src = self.pretrained(cfg.source_ids[0], seed, use_inter, scl_on)
             ft = replace(
                 self.finetune_cfg,
-                init_from_source=cfg.share_params,
+                init_from_source=True,
                 use_memory=True,
                 use_calibration=variant != "calibration",
                 seed=seed,
@@ -283,11 +278,6 @@ class ScenarioRunner:
             wall_time_s=time.perf_counter() - started,
             version=__version__,
         )
-
-
-def run_scenario(cfg: ScenarioConfig, world: dict[str, CountryDataset]) -> ScenarioReport:
-    """One-shot convenience wrapper around ScenarioRunner."""
-    return ScenarioRunner(world).run(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -53,12 +53,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Accumulate gradients of this (scalar) node into the graph."""
         if self.data.size != 1:
@@ -219,19 +213,16 @@ def transpose(a) -> Tensor:
 
 
 def outer(u, v) -> Tensor:
-    """Outer product: (k,) x (k,) -> (k,k), or batched (N,k) x (N,k) -> (N,k,k)."""
+    """Batched outer product of matching rows: (N, k) x (N, k) -> (N, k, k)."""
     u, v = _wrap(u), _wrap(v)
-    if u.data.ndim == 1 and v.data.ndim == 1:
-        out = np.outer(u.data, v.data)
-        return _node(out, (u, v), lambda g: (g @ v.data, g.T @ u.data))
-    if u.data.ndim == 2 and v.data.ndim == 2 and u.shape[0] == v.shape[0]:
-        out = np.einsum("ni,nj->nij", u.data, v.data)
-        return _node(
-            out,
-            (u, v),
-            lambda g: (np.einsum("nij,nj->ni", g, v.data), np.einsum("nij,ni->nj", g, u.data)),
-        )
-    raise ShapeError(f"outer shapes {u.shape} x {v.shape}")
+    if u.data.ndim != 2 or v.data.ndim != 2 or u.shape[0] != v.shape[0]:
+        raise ShapeError(f"outer shapes {u.shape} x {v.shape}")
+    out = np.einsum("ni,nj->nij", u.data, v.data)
+    return _node(
+        out,
+        (u, v),
+        lambda g: (np.einsum("nij,nj->ni", g, v.data), np.einsum("nij,ni->nj", g, u.data)),
+    )
 
 
 def reshape(a, shape) -> Tensor:
@@ -371,29 +362,23 @@ def gather_rows(table, idx) -> Tensor:
 _CONV_BLOCK = 64  # records per accumulation block of the conv2d forward
 
 
-def conv2d(x, kernels, bias=None) -> Tensor:
-    """Single-channel 2-d convolution, stride 1, zero 'same' padding.
+def conv2d(x, kernels, bias) -> Tensor:
+    """Single-channel 2-d convolution of a batch, stride 1, zero 'same' padding.
 
-    x: (H, W) or (N, H, W); kernels: (C, kh, kw) with odd kh, kw.
-    Output: (C, H, W) or (N, C, H, W).
+    x: (N, H, W); kernels: (C, kh, kw) with odd kh, kw; bias: (C,).
+    Output: (N, C, H, W).
     """
-    x, kernels = _wrap(x), _wrap(kernels)
-    single = x.data.ndim == 2
-    xd = x.data[None] if single else x.data
-    if xd.ndim != 3 or kernels.data.ndim != 3:
+    x, kernels, bias = _wrap(x), _wrap(kernels), _wrap(bias)
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
         raise ShapeError(f"conv2d shapes {x.shape}, {kernels.shape}")
     c, kh, kw = kernels.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError("conv2d kernels must have odd extents")
-    n, h, w = xd.shape
+    if bias.shape != (c,):
+        raise ShapeError("conv2d bias must be (channels,)")
+    n, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    parents = [x, kernels]
-    if bias is not None:
-        bias = _wrap(bias)
-        if bias.shape != (c,):
-            raise ShapeError("conv2d bias must be (channels,)")
-        parents.append(bias)
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
     # Read row-major, a block of padded records is one vector, and tap (a, b)
     # for every output of the block is one contiguous slice of it, shifted
     # by a*wp + b. Positions past column w or row h of a record are junk
@@ -418,27 +403,19 @@ def conv2d(x, kernels, bias=None) -> Tensor:
                     off = s * size + a * wp + b
                     np.multiply(flat[off : off + span], kernels.data[ch, a, b], out=t_live)
                     live += t_live
-            if bias is not None:
-                live += bias.data[ch]
+            live += bias.data[ch]
             out[s : s + m, ch] = acc[: m * size].reshape(m, h + 2 * ph, wp)[:, :h, :w]
 
     def vjp(g):
-        g4 = g[None] if single else g
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kernels.data)
         for a in range(kh):
             for b in range(kw):
-                gxp[:, a : a + h, b : b + w] += np.einsum(
-                    "ncij,c->nij", g4, kernels.data[:, a, b]
-                )
-                gk[:, a, b] += np.einsum("ncij,nij->c", g4, xp[:, a : a + h, b : b + w])
-        gx = gxp[:, ph : ph + h, pw : pw + w]
-        grads = [gx[0] if single else gx, gk]
-        if bias is not None:
-            grads.append(g4.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+                gxp[:, a : a + h, b : b + w] += np.einsum("ncij,c->nij", g, kernels.data[:, a, b])
+                gk[:, a, b] += np.einsum("ncij,nij->c", g, xp[:, a : a + h, b : b + w])
+        return gxp[:, ph : ph + h, pw : pw + w], gk, g.sum(axis=(0, 2, 3))
 
-    return _node(out[0] if single else out, tuple(parents), vjp)
+    return _node(out, (x, kernels, bias), vjp)
 
 
 def bce(pred, label) -> Tensor:

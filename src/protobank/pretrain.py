@@ -29,6 +29,13 @@ from .errors import DataError, MetricError
 from .numerics import OptimizerState, Tensor
 
 
+def _check_tau(tau: float) -> None:
+    # similarities lie in [-1, 1], so exp(s / tau) <= e^100 stays far from
+    # overflow, and so do the loss's sums, squared denominators and log ratios
+    if not tau >= 0.01:  # also rejects NaN
+        raise DataError(f"tau must be at least 0.01, got {tau}")
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     tau: float = 0.07
@@ -42,8 +49,7 @@ class PretrainConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def validate(self) -> None:
-        if self.tau <= 0:
-            raise DataError("tau must be positive")
+        _check_tau(self.tau)
         if self.batch_size < 2:
             raise DataError("batch_size must be at least 2")
         if self.epochs < 0:
@@ -62,8 +68,7 @@ def scl_loss(h: Tensor, labels: np.ndarray, tau: float) -> Tensor:
     n = h.shape[0]
     if n < 2:
         raise DataError("contrastive loss needs a batch of at least 2")
-    if tau <= 0:
-        raise DataError("tau must be positive")
+    _check_tau(tau)
     if labels.shape != (n,):
         raise DataError(f"labels shape {labels.shape} does not match batch {n}")
     same = labels[:, None] == labels[None, :]

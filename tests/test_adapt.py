@@ -50,21 +50,21 @@ class TestMemoryAttend:
     def test_single_prototype_bank(self):
         bank = assemble([PrototypeSet("S", 3, np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 3.0]]))])
         # restrict to one row by slicing the matrix directly
-        h_ts, w = memory_attend(np.array([0.5, 0.5, 0.5]), bank.matrix()[:1])
-        assert np.allclose(w.data, [1.0])
-        assert np.allclose(h_ts.data, [1.0, 2.0, 3.0])
+        h_ts, w = memory_attend(np.array([[0.5, 0.5, 0.5]]), bank.matrix()[:1])
+        assert np.allclose(w.data, [[1.0]])
+        assert np.allclose(h_ts.data, [[1.0, 2.0, 3.0]])
 
     def test_two_orthogonal_prototypes_hand_softmax(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        h_ts, w = memory_attend(np.array([1.0, 0.0]), rows)
+        h_ts, w = memory_attend(np.array([[1.0, 0.0]]), rows)
         e = math.e
-        assert np.allclose(w.data, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
+        assert np.allclose(w.data, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
         assert np.allclose(h_ts.data, w.data @ rows, atol=1e-12)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         bank = small_bank(dim=6, rows=9)
-        _, w = memory_attend(rng.normal(size=(4, 6)), bank)
+        _, w = memory_attend(rng.normal(size=(4, 6)), bank.matrix())
         assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w.data >= 0)
 
@@ -79,7 +79,9 @@ class TestMemoryAttend:
 
     def test_empty_bank_and_dim_mismatch(self):
         with pytest.raises(DataError):
-            memory_attend(np.ones(3), assemble([]))
+            memory_attend(np.ones((1, 3)), assemble([]).matrix())
+        with pytest.raises(DataError):
+            memory_attend(np.ones((1, 3)), np.zeros((0, 3)))
         with pytest.raises(ShapeError):
             memory_attend(np.ones((2, 3)), np.ones((4, 5)))
 

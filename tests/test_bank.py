@@ -150,7 +150,7 @@ class TestKMeansBitExact:
         for seed in range(3):
             ours_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):  # later restarts continue the same generator
-                r = _lloyd(points, sq_norms, k, ours_rng, 100, 1e-6)
+                r = _lloyd(points, sq_norms, k, ours_rng)
                 ours = _result_bytes(r.centroids, r.assignments, r.objective,
                                      r.objective_history, r.n_iters)
                 assert ours == _result_bytes(*loop_lloyd(points, k, oracle_rng))

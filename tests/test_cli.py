@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from protobank.bank import BankClient
-from protobank.cli import main, parse_world_config
+from protobank.cli import UsageError, _parse_address, main, parse_world_config
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.errors import DataError
 
@@ -213,6 +213,35 @@ class TestExitCodes:
     def test_bad_address_is_usage_error(self):
         assert main(["fetch-bank", "--from", "nonsense", "--sources", "A",
                      "--out", "/tmp/x.pbk"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-bank", "--dir", "store", "--listen", "127.0.0.1:99999"],
+            ["fetch-bank", "--from", "127.0.0.1:70000", "--sources", "A", "--out", "x.pbk"],
+        ],
+        ids=["serve-bank", "fetch-bank"],
+    )
+    def test_port_out_of_range_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "port in 0-65535" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_port_range_edges(self):
+        assert _parse_address("localhost:0") == ("localhost", 0)
+        assert _parse_address("localhost:65535") == ("localhost", 65535)
+        for text in ("localhost:65536", "localhost:\u00b2", "localhost:-1", ":80"):
+            with pytest.raises(UsageError):
+                _parse_address(text)
+
+    @pytest.mark.parametrize("tau", ["0.001", "nan"])
+    def test_tau_below_floor_is_data_error(self, world_dir, tmp_path, capsys, tau):
+        out = tmp_path / "m.pbm"
+        assert main(["pretrain", "--data", str(world_dir / "data" / "AA.csv"), "--country", "AA",
+                     "--out", str(out), "--epochs", "1", "--tau", tau]) == 2
+        assert "tau must be at least 0.01" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSeedEnvFallback:

@@ -15,7 +15,6 @@ from protobank.evaluation import (
     default_world_config,
     emit_report,
     revenue_at_k,
-    run_scenario,
     suite_configs,
 )
 from protobank.adapt import FinetuneConfig
@@ -193,12 +192,6 @@ class TestScenarioRunner:
         )
         van = runner.run(ScenarioConfig("vanilla", "BB", ("AA",), seeds=(0,), label_fraction=0.05))
         assert abl.revenues == van.revenues
-
-    def test_run_scenario_wrapper(self, world):
-        cfg = ScenarioConfig("target_only", "BB", seeds=(0,), label_fraction=0.08)
-        rep = run_scenario(cfg, world)
-        assert rep.kind == "target_only"
-        assert len(rep.revenues) == 1
 
     def test_aggregate_matches_details(self, world):
         runner = ScenarioRunner(world, **FAST_RUNNER)

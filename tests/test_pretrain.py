@@ -103,6 +103,21 @@ class TestSclLoss:
                 norms.append(np.linalg.norm(t.grad))
             assert norms == sorted(norms), f"not monotone: {norms}"
 
+    @pytest.mark.parametrize("tau", [0.001, 0.0015, float("nan")])
+    def test_tau_below_floor_rejected(self, tau):
+        # below 0.01, exp(s / tau) or the squared denominators of its gradient overflow
+        with pytest.raises(DataError, match="tau"):
+            scl_loss(Tensor(np.eye(3)), np.array([0, 0, 1]), tau)
+        with pytest.raises(DataError, match="tau"):
+            PretrainConfig(tau=tau).validate()
+
+    def test_tau_floor_accepted(self):
+        PretrainConfig(tau=0.01).validate()
+        t = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]), requires_grad=True)
+        loss = scl_loss(t, np.array([0, 0, 1]), 0.01)
+        loss.backward()
+        assert np.isfinite(loss.item()) and np.all(np.isfinite(t.grad))
+
     def test_batch_too_small(self):
         with pytest.raises(DataError):
             scl_loss(Tensor(np.ones((1, 3))), np.array([0]), 0.07)
