@@ -105,7 +105,9 @@ def memory_attend(h, memory) -> tuple[Tensor, Tensor]:
     (N, d) and (N, M).
     """
     rows = np.asarray(memory, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
+    if rows.ndim != 2:
+        raise ShapeError(f"memory_attend expects an (M, d) bank matrix, got {rows.shape}")
+    if rows.shape[0] < 1:
         raise DataError("memory bank is empty")
     ht = h if isinstance(h, Tensor) else Tensor(h)
     if ht.data.ndim != 2:

@@ -71,48 +71,76 @@ class KMeansResult:
     n_iters: int
 
 
-def _sq_dists(points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared distances; `sq_norms` is `(points * points).sum(axis=1)`."""
-    # in one (n, k) buffer, and bit for bit
-    # max(sq_norms[:, None] - (2 * points) @ centroids.T + |centroids|^2, 0)
-    d2 = (2.0 * points) @ centroids.T
-    np.subtract(sq_norms[:, None], d2, out=d2)
-    d2 += (centroids * centroids).sum(axis=1)
-    return np.maximum(d2, 0.0, out=d2)
+def _sq_dists(
+    twice_points: np.ndarray,
+    sq_norms: np.ndarray,
+    centroids: np.ndarray,
+    c_norms: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Squared distances into `out`, (n, k).
+
+    `twice_points` is `2.0 * points`, `sq_norms` is `(points * points).sum(axis=1)`
+    and `c_norms` is `(centroids * centroids).sum(axis=1)` (or the same rows of
+    `sq_norms` when the centroids are points). Bit for bit
+    max(sq_norms[:, None] - (2 * points) @ centroids.T + |centroids|^2, 0).
+    """
+    np.matmul(twice_points, centroids.T, out=out)
+    np.subtract(sq_norms[:, None], out, out=out)
+    out += c_norms
+    return np.maximum(out, 0.0, out=out)
 
 
-def _draw(rng: np.random.Generator, weights: np.ndarray, total: float) -> int:
-    """The index `rng.choice(len(weights), p=weights / total)` draws, minus its checks of p."""
-    cdf = (weights / total).cumsum()
+def _draw(rng: np.random.Generator, weights: np.ndarray, cdf: np.ndarray) -> int:
+    """The next k-means++ seed: the index `rng.choice(len(weights), p=weights / total)`
+    draws, minus its checks of p, or `rng.integers(len(weights))` when every weight
+    is 0 (all points coincide with a seed). `cdf` is scratch of the weights' length.
+    """
+    total = weights.sum()
+    if total <= 0:
+        return int(rng.integers(len(weights)))
+    np.divide(weights, total, out=cdf)
+    np.add.accumulate(cdf, out=cdf)  # what `cumsum` runs, without its wrappers
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _seed_centroids(
-    points: np.ndarray, sq_norms: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray,
+    twice_points: np.ndarray,
+    sq_norms: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """k-means++ style: subsequent seeds drawn proportionally to squared distance."""
     n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = _sq_dists(points, sq_norms, points[chosen])[:, 0]
+    j = int(rng.integers(n))
+    chosen = [j]
+    latest = np.empty((n, 1))  # each point's distance to the latest seed
+    cdf = np.empty(n)
+    _sq_dists(twice_points, sq_norms, points[j : j + 1], sq_norms[j : j + 1], latest)
+    d2 = latest[:, 0].copy()  # each point's distance to its nearest seed so far
     for _ in range(1, k):
-        total = d2.sum()
-        if total <= 0:  # all remaining points coincide with a seed
-            chosen.append(int(rng.integers(n)))
-        else:
-            chosen.append(_draw(rng, d2, total))
-        d2 = np.minimum(
-            d2, _sq_dists(points, sq_norms, points[chosen[-1] : chosen[-1] + 1])[:, 0]
-        )
+        j = _draw(rng, d2, cdf)
+        chosen.append(j)
+        _sq_dists(twice_points, sq_norms, points[j : j + 1], sq_norms[j : j + 1], latest)
+        np.minimum(d2, latest[:, 0], out=d2)
     return points[chosen].copy()
 
 
-def _lloyd(points: np.ndarray, sq_norms: np.ndarray, k: int, rng) -> KMeansResult:
+def _lloyd(
+    points: np.ndarray,
+    twice_points: np.ndarray,
+    sq_norms: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+) -> KMeansResult:
     n = points.shape[0]
-    centroids = _seed_centroids(points, sq_norms, k, rng)
+    centroids = _seed_centroids(points, twice_points, sq_norms, k, rng)
     # distances to the current centroids: they give the assignment and, after
     # the update, both the objective and the next iteration's assignment
-    d2 = _sq_dists(points, sq_norms, centroids)
+    d2 = np.empty((n, k))
+    _sq_dists(twice_points, sq_norms, centroids, (centroids * centroids).sum(axis=1), d2)
     assign = np.zeros(n, dtype=np.int64)
     history: list[float] = []
     it = 0
@@ -131,7 +159,7 @@ def _lloyd(points: np.ndarray, sq_norms: np.ndarray, k: int, rng) -> KMeansResul
         new_centroids /= np.bincount(assign, minlength=k)[:, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        d2 = _sq_dists(points, sq_norms, centroids)
+        _sq_dists(twice_points, sq_norms, centroids, (centroids * centroids).sum(axis=1), d2)
         history.append(float(d2[np.arange(n), assign].sum()))
         if shift < _KMEANS_TOL:
             break
@@ -154,10 +182,11 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> KMeansResult:
         raise DataError("k must be at least 1")
     k = min(k, points.shape[0])
     rng = np.random.default_rng(seed)
+    twice_points = 2.0 * points
     sq_norms = (points * points).sum(axis=1)
     best: KMeansResult | None = None
     for _ in range(_KMEANS_RESTARTS):
-        result = _lloyd(points, sq_norms, k, rng)
+        result = _lloyd(points, twice_points, sq_norms, k, rng)
         if best is None or result.objective < best.objective:
             best = result
         if best.objective == 0.0:

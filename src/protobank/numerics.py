@@ -359,7 +359,7 @@ def gather_rows(table, idx) -> Tensor:
     return _node(out, (table,), vjp)
 
 
-_CONV_BLOCK = 64  # records per accumulation block of the conv2d forward
+_CONV_BLOCK = 32  # records per accumulation block of the conv2d forward
 
 
 def conv2d(x, kernels, bias) -> Tensor:
@@ -378,35 +378,45 @@ def conv2d(x, kernels, bias) -> Tensor:
         raise ShapeError("conv2d bias must be (channels,)")
     n, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    # Read row-major, a block of padded records is one vector, and tap (a, b)
-    # for every output of the block is one contiguous slice of it, shifted
-    # by a*wp + b. Positions past column w or row h of a record are junk
-    # (they mix in the next record) and are dropped; the slices end just
-    # after the block's last real output, so they stay inside `xp`. Every
-    # output element sums the same products in the same tap order, from 0.0
-    # with the bias last, as a per-tap broadcast over the whole batch.
-    wp = w + 2 * pw
-    size = (h + 2 * ph) * wp  # one padded record
-    flat = xp.reshape(-1)
+    # A block of records is laid out row-major with the zero borders shared
+    # between neighbours: rows are w + pw wide (a row's right border is the
+    # next row's left one) and records are h + ph rows (a record's bottom
+    # border is the next one's top), after a leading border of ph rows and
+    # pw columns. Tap (a, b) for every output of the block is then one
+    # contiguous slice, shifted by a*wp + b, and reads exactly the value a
+    # separately padded record would give it. Positions past column w or row
+    # h are junk and are dropped; no slice reads past the last record. All
+    # channels of a tap are one multiply and one add, so every output element
+    # sums the same products in the same tap order, from 0.0 with the bias
+    # last, as a per-tap broadcast over the whole batch.
+    wp = w + pw
+    size = (h + ph) * wp  # one record's stride
+    lead = ph * wp + pw
+    block = min(_CONV_BLOCK, n)
+    flat = np.zeros(lead + block * size)
+    cells = flat[lead:].reshape(block, h + ph, wp)[:, :h, :w]
+    offsets = [a * wp + b for a in range(kh) for b in range(kw)]  # taps a-major
+    taps = kernels.data.reshape(c, kh * kw).T[:, :, None]  # (kh*kw, C, 1)
     out = np.empty((n, c, h, w))
-    acc = np.empty(_CONV_BLOCK * size)
-    tmp = np.empty(_CONV_BLOCK * size)
-    for s in range(0, n, _CONV_BLOCK):
-        m = min(_CONV_BLOCK, n - s)
-        span = m * size - 2 * ph * wp - 2 * pw
-        live, t_live = acc[:span], tmp[:span]
-        for ch in range(c):
-            live.fill(0.0)
-            for a in range(kh):
-                for b in range(kw):
-                    off = s * size + a * wp + b
-                    np.multiply(flat[off : off + span], kernels.data[ch, a, b], out=t_live)
-                    live += t_live
-            live += bias.data[ch]
-            out[s : s + m, ch] = acc[: m * size].reshape(m, h + 2 * ph, wp)[:, :h, :w]
+    acc = np.empty((c, block * size))
+    tmp = np.empty((c, block * size))
+    for s in range(0, n, block):
+        m = min(block, n - s)
+        cells[:m] = x.data[s : s + m]
+        span = (m - 1) * size + (h - 1) * wp + w
+        live, t_live = acc[:, :span], tmp[:, :span]
+        np.multiply(flat[None, :span], taps[0], out=live)
+        live += 0.0  # the sum starts from +0.0: 0.0 + (-0.0) is +0.0
+        for off, tap in zip(offsets[1:], taps[1:]):
+            np.multiply(flat[None, off : off + span], tap, out=t_live)
+            live += t_live
+        live += bias.data[:, None]
+        out[s : s + m] = (
+            acc[:, : m * size].reshape(c, m, h + ph, wp)[:, :, :h, :w].transpose(1, 0, 2, 3)
+        )
 
     def vjp(g):
+        xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
         gxp = np.zeros_like(xp)
         gk = np.zeros_like(kernels.data)
         for a in range(kh):

@@ -84,6 +84,11 @@ class TestMemoryAttend:
             memory_attend(np.ones((1, 3)), np.zeros((0, 3)))
         with pytest.raises(ShapeError):
             memory_attend(np.ones((2, 3)), np.ones((4, 5)))
+        # a bank that is not a matrix is a shape fault, not an empty bank
+        with pytest.raises(ShapeError, match=r"\(3,\)"):
+            memory_attend(np.ones((2, 3)), np.ones(3))
+        with pytest.raises(ShapeError, match=r"\(1, 4, 3\)"):
+            memory_attend(np.ones((2, 3)), np.ones((1, 4, 3)))
 
 
 class TestCalibrate:

@@ -150,7 +150,7 @@ class TestKMeansBitExact:
         for seed in range(3):
             ours_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(3):  # later restarts continue the same generator
-                r = _lloyd(points, sq_norms, k, ours_rng)
+                r = _lloyd(points, 2.0 * points, sq_norms, k, ours_rng)
                 ours = _result_bytes(r.centroids, r.assignments, r.objective,
                                      r.objective_history, r.n_iters)
                 assert ours == _result_bytes(*loop_lloyd(points, k, oracle_rng))
@@ -168,10 +168,18 @@ class TestKMeansBitExact:
     def test_sq_dists_match_oracle(self, n, k, d):
         rng = np.random.default_rng(n + k + d)
         points = rng.normal(size=(n, d)) * 10
+        sq_norms = (points * points).sum(axis=1)
         for centroids in (rng.normal(size=(k, d)), points[:k] + 1e-9, points[:k]):
-            got = _sq_dists(points, (points * points).sum(axis=1), centroids)
+            out = np.full((n, k), np.nan)  # stale scratch: every entry must be written
+            c_norms = (centroids * centroids).sum(axis=1)
+            got = _sq_dists(2.0 * points, sq_norms, centroids, c_norms, out)
+            assert got is out
             assert got.tobytes() == loop_sq_dists(points, centroids).tobytes()
             assert got.min() >= 0.0
+        for j in (0, n - 1):  # a seed's own norm read from sq_norms, as seeding does
+            out = np.full((n, 1), np.nan)
+            got = _sq_dists(2.0 * points, sq_norms, points[j : j + 1], sq_norms[j : j + 1], out)
+            assert got.tobytes() == loop_sq_dists(points, points[j : j + 1]).tobytes()
 
     def test_draw_matches_rng_choice_draw_by_draw(self):
         gen = np.random.default_rng(7)
@@ -181,12 +189,20 @@ class TestKMeansBitExact:
             weights[int(gen.integers(n))] = gen.random() + 1e-3  # at least one positive
             if trial % 4 == 0:
                 weights *= 1e-300  # tiny weights
+            if trial % 5 == 0:
+                weights[:] = 0.0  # every point coincides with a seed: a uniform draw
             total = weights.sum()
+            before = weights.copy()
+            cdf = np.full(n, np.nan)  # stale scratch
             ours, oracle = np.random.default_rng(trial), np.random.default_rng(trial)
             for _ in range(5):
-                idx = _draw(ours, weights, total)
-                assert idx == int(oracle.choice(n, p=weights / total))
-                assert weights[idx] > 0
+                idx = _draw(ours, weights, cdf)
+                if total <= 0:
+                    assert idx == int(oracle.integers(n))
+                else:
+                    assert idx == int(oracle.choice(n, p=weights / total))
+                    assert weights[idx] > 0
+            assert weights.tobytes() == before.tobytes()
             assert ours.random() == oracle.random()  # the generators stay in step
 
 

@@ -108,11 +108,8 @@ def loop_conv2d(x, kernels, bias):
     return out
 
 
-@pytest.mark.parametrize("n", [1, nm._CONV_BLOCK + 3, 1024])
-@pytest.mark.parametrize("kshape", [(2, 1, 1), (8, 3, 3), (3, 5, 3)])
-@pytest.mark.parametrize("random_bias", [False, True])
-def test_conv2d_forward_bit_identical_to_loop(n, kshape, random_bias):
-    # random_bias=False runs the zero bias every encoder starts from
+def conv_case(n, kshape, random_bias):
+    """Inputs with +-0.0 values, an all -0.0 record and a zero kernel tap."""
     rng = np.random.default_rng([n, *kshape, int(random_bias)])
     x = rng.normal(size=(n, 16, 12))
     x[x > 1.2] = 0.0
@@ -121,10 +118,57 @@ def test_conv2d_forward_bit_identical_to_loop(n, kshape, random_bias):
     kernels = rng.normal(size=kshape)
     kernels[0, 0, 0] = 0.0
     bias = rng.normal(size=kshape[0]) if random_bias else np.zeros(kshape[0])
+    return x, kernels, bias
+
+
+B = nm._CONV_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3, 1024])
+@pytest.mark.parametrize("kshape", [(2, 1, 1), (8, 3, 3), (3, 5, 3)])
+@pytest.mark.parametrize("random_bias", [False, True])
+def test_conv2d_forward_bit_identical_to_loop(n, kshape, random_bias):
+    # random_bias=False runs the zero bias every encoder starts from
+    x, kernels, bias = conv_case(n, kshape, random_bias)
     got = nm.conv2d(Tensor(x), Tensor(kernels), Tensor(bias))
     want = loop_conv2d(x, kernels, bias)
     assert got.data.shape == want.shape
     assert got.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_conv2d_block_is_bit_neutral(block, monkeypatch):
+    x, kernels, bias = conv_case(70, (8, 3, 3), True)
+    monkeypatch.setattr(nm, "_CONV_BLOCK", block)
+    got = nm.conv2d(Tensor(x), Tensor(kernels), Tensor(bias))
+    assert got.data.tobytes() == loop_conv2d(x, kernels, bias).tobytes()
+
+
+def eager_pad_conv2d_vjp(x, kernels, g):
+    """The conv2d VJP over a forward-time padded input, kept as the bit-exact oracle."""
+    c, kh, kw = kernels.shape
+    n, h, w = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(kernels)
+    for a in range(kh):
+        for b in range(kw):
+            gxp[:, a : a + h, b : b + w] += np.einsum("ncij,c->nij", g, kernels[:, a, b])
+            gk[:, a, b] += np.einsum("ncij,nij->c", g, xp[:, a : a + h, b : b + w])
+    return gxp[:, ph : ph + h, pw : pw + w], gk, g.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("n", [1, B + 1])
+@pytest.mark.parametrize("kshape", [(2, 1, 1), (8, 3, 3), (3, 5, 3)])
+def test_conv2d_gradients_bit_identical_to_eager_pad(n, kshape):
+    x, kernels, bias = conv_case(n, kshape, True)
+    weights = np.random.default_rng(n).normal(size=(n, kshape[0], 16, 12))
+    leaves = [Tensor(a, requires_grad=True) for a in (x, kernels, bias)]
+    nm.reduce_sum(nm.mul(nm.conv2d(*leaves), Tensor(weights))).backward()
+    for got, want in zip(leaves, eager_pad_conv2d_vjp(x, kernels, weights)):
+        assert got.grad.shape == want.shape
+        assert got.grad.tobytes() == want.tobytes()
 
 
 def test_matmul_shape_error():
