@@ -3,9 +3,9 @@
 Per-class centroids of the fused representations are the only artifact a
 source country ships: they carry no record-level fields, and their count
 is clamped to the class cardinality. The exchange service is a small
-length-prefixed TCP protocol over the binary container format; uploads are
-validated before storage and written atomically, so a reader always sees
-a complete prototype set.
+length-prefixed TCP protocol over the binary container format; an upload
+is decoded, which checks it, before it is stored, and it is written
+atomically, so a reader always sees a complete, valid prototype set.
 
 Service framing (little-endian): request = u32 length | u8 opcode | body,
 response = u32 length | u8 status | body. Opcodes: PUT=1 (body is a
@@ -17,8 +17,10 @@ containers, in request order; LIST u32 count + count x (length-prefixed id
 and the connection closes, since framing is lost; a request that cannot be
 served gets an error frame and the connection stays open.
 
-Frames are received into a per-connection buffer and decoded through
-views of it; replies go out with one scatter-gather send of their parts.
+Bodies are parsed with the container's reader, so a truncated body or an
+id that is not UTF-8 is a FormatError. Frames are received into a
+per-connection buffer and decoded through views of it; replies go out with
+one scatter-gather send of their parts.
 A server connection ends when its peer hangs up or when one read or write
 waits longer than _IDLE_TIMEOUT.
 """
@@ -39,6 +41,7 @@ import numpy as np
 from .container import (
     MemoryBank,
     PrototypeSet,
+    _Reader,
     deserialize,
     serialize,
 )
@@ -219,30 +222,17 @@ def extract_prototypes(
                 f"{fraud_like.country_id}: {name} class absent from the shared subset"
             )
         sets[cls] = kmeans(rows, min(per_class, rows.shape[0]), seed=seed + (1 - cls)).centroids
-    ps = PrototypeSet(
+    return PrototypeSet(
         source_id=fraud_like.country_id,
         dim=params.config.d,
         fraud_prototypes=sets[1],
         nonfraud_prototypes=sets[0],
         created_at=created_at,
     )
-    ps.validate()
-    return ps
 
 
 def assemble(banks: list[PrototypeSet] | tuple[PrototypeSet, ...]) -> MemoryBank:
-    """Order-preserving concatenation of prototype sets into one memory."""
-    seen = set()
-    dim = None
-    for ps in banks:
-        ps.validate()
-        if ps.source_id in seen:
-            raise DataError(f"duplicate source_id {ps.source_id!r}")
-        seen.add(ps.source_id)
-        if dim is None:
-            dim = ps.dim
-        elif ps.dim != dim:
-            raise DataError(f"dimension mismatch: {ps.dim} vs {dim}")
+    """Order-preserving concatenation of prototype sets with distinct ids and one dim."""
     return MemoryBank(tuple(banks))
 
 
@@ -377,36 +367,6 @@ def _write_frame(sock: socket.socket, tag: int, parts) -> None:
             bufs[i] = memoryview(bufs[i])[sent:]
 
 
-class _Cursor:
-    def __init__(self, data):
-        self.data, self.pos = memoryview(data), 0
-
-    def blob(self) -> memoryview:
-        if self.pos + 4 > len(self.data):
-            raise FormatError("truncated message body")
-        (n,) = struct.unpack_from("<I", self.data, self.pos)
-        self.pos += 4
-        if self.pos + n > len(self.data):
-            raise FormatError("truncated message body")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        if self.pos + 4 > len(self.data):
-            raise FormatError("truncated message body")
-        (v,) = struct.unpack_from("<I", self.data, self.pos)
-        self.pos += 4
-        return v
-
-    def u64(self) -> int:
-        if self.pos + 8 > len(self.data):
-            raise FormatError("truncated message body")
-        (v,) = struct.unpack_from("<Q", self.data, self.pos)
-        self.pos += 8
-        return v
-
-
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         store: BankStore = self.server.store  # type: ignore[attr-defined]
@@ -425,7 +385,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 opcode, body = frame
                 try:
                     status, reply = 0, self._dispatch(store, opcode, body)
-                except (DataError, FormatError, UnicodeDecodeError, OSError) as e:
+                except (DataError, OSError) as e:
                     status, reply = 1, [str(e).encode("utf-8")]
                 _write_frame(sock, status, reply)
         except OSError:  # the peer hung up or reset, or a read or write timed out
@@ -438,8 +398,8 @@ class _Handler(socketserver.BaseRequestHandler):
             store.put(body)
             return []
         if opcode == OP_GET:
-            cur = _Cursor(body)
-            ids = [str(cur.blob(), "utf-8") for _ in range(cur.u32())]
+            r = _Reader(body)
+            ids = [r.string() for _ in range(r.u32())]
             parts = [struct.pack("<I", len(ids))]
             size = 1 + 4 + 4 * len(ids)
             for sid in ids:
@@ -520,9 +480,9 @@ class BankClient:
     def get(self, source_ids: list[str]) -> list[bytes]:
         ids = [s.encode("utf-8") for s in source_ids]
         body = struct.pack("<I", len(ids)) + b"".join(struct.pack("<I", len(i)) + i for i in ids)
-        cur = _Cursor(self._call(OP_GET, body))
-        return [bytes(cur.blob()) for _ in range(cur.u32())]
+        r = _Reader(self._call(OP_GET, body))
+        return [bytes(r.blob()) for _ in range(r.u32())]
 
     def list(self) -> list[tuple[str, int]]:
-        cur = _Cursor(self._call(OP_LIST))
-        return [(str(cur.blob(), "utf-8"), cur.u64()) for _ in range(cur.u32())]
+        r = _Reader(self._call(OP_LIST))
+        return [(r.string(), r.u64()) for _ in range(r.u32())]

@@ -14,6 +14,10 @@ row-major, trailing u64 checksum covering every byte before it):
 
 The checksum is CRC-32 zero-extended to 64 bits. Any corrupted byte in a
 stream is rejected: the checksum covers header and payload alike.
+
+A prototype set or memory bank checks itself when constructed, decoded or
+not, so an invalid one raises DataError instead of existing. A decoded
+tensor bundle with a non-finite value raises FormatError.
 """
 
 from __future__ import annotations
@@ -36,7 +40,10 @@ MAGIC_PARAMS = b"PROTOPRM"
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """Per-class centroid matrices contributed by one source country."""
+    """Per-class centroid matrices contributed by one source country.
+
+    Checked when constructed: a nonempty source_id; each matrix (n >= 1, dim >= 1), finite.
+    """
 
     source_id: str
     dim: int
@@ -45,27 +52,19 @@ class PrototypeSet:
     created_at: int = 0
     format_version: int = FORMAT_VERSION
 
-    def validate(self) -> None:
-        for name, m in self._validate_layout():
-            if not np.all(np.isfinite(m)):
-                raise DataError(f"{name}: non-finite prototype values")
-
-    def _validate_layout(self) -> tuple[tuple[str, np.ndarray], ...]:
-        """Every check of `validate` but finiteness; returns the named matrices."""
+    def __post_init__(self) -> None:
         if not self.source_id:
             raise DataError("prototype set needs a nonempty source_id")
         if self.dim < 1:
             raise DataError("prototype dimension must be positive")
-        matrices = (
-            ("fraud_prototypes", self.fraud_prototypes),
-            ("nonfraud_prototypes", self.nonfraud_prototypes),
-        )
-        for name, m in matrices:
+        for name in ("fraud_prototypes", "nonfraud_prototypes"):
+            m = getattr(self, name)
             if m.ndim != 2 or m.shape[1] != self.dim:
                 raise DataError(f"{name}: expected (*, {self.dim}), got {m.shape}")
             if m.shape[0] < 1:
                 raise DataError(f"{name}: at least one prototype required")
-        return matrices
+            if not np.all(np.isfinite(m)):
+                raise DataError(f"{name}: non-finite prototype values")
 
     @property
     def n_rows(self) -> int:
@@ -89,9 +88,18 @@ class PrototypeSet:
 
 @dataclass(frozen=True)
 class MemoryBank:
-    """Ordered prototype sets from multiple sources; possibly empty."""
+    """Ordered prototype sets from distinct sources of one dimension; possibly empty."""
 
     entries: tuple[PrototypeSet, ...] = ()
+
+    def __post_init__(self) -> None:
+        seen = set()
+        for ps in self.entries:
+            if ps.source_id in seen:
+                raise DataError(f"duplicate source_id {ps.source_id!r}")
+            seen.add(ps.source_id)
+            if ps.dim != self.entries[0].dim:
+                raise DataError(f"dimension mismatch: {ps.dim} vs {self.entries[0].dim}")
 
     @property
     def dim(self) -> int | None:
@@ -105,9 +113,6 @@ class MemoryBank:
         if not self.entries:
             raise DataError("memory bank is empty")
         return np.vstack([e.rows() for e in self.entries])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MemoryBank) and self.entries == other.entries
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +141,13 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def blob(self) -> memoryview:
+        """A u32 length, then that many bytes."""
+        return self.take(self.u32())
+
     def string(self) -> str:
-        n = self.u32()
         try:
-            return str(self.take(n), "utf-8")
+            return str(self.blob(), "utf-8")
         except UnicodeDecodeError as e:
             raise FormatError(f"bad utf-8 string: {e}") from None
 
@@ -182,10 +190,7 @@ def _read_f64(r: _Reader, shape: tuple[int, ...]) -> np.ndarray:
     """The next `shape` float64 values as an array that owns its data."""
     count = math.prod(shape)  # Python ints: a u32 x u32 count must not wrap
     raw = r.take(count * 8)
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise FormatError("non-finite payload values")
-    return arr
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +198,6 @@ def _read_f64(r: _Reader, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _ser_prototype_set(ps: PrototypeSet) -> bytes:
-    ps.validate()
     body = bytearray(MAGIC_PROTOTYPES)
     body += struct.pack(
         "<IIII",
@@ -218,9 +222,7 @@ def _deser_prototype_set(data: bytes) -> PrototypeSet:
     nonfraud = _read_f64(r, (n_n, dim))
     if r.pos != len(r.data):
         raise FormatError("trailing bytes after payload")
-    ps = PrototypeSet(source_id, dim, fraud, nonfraud, created_at)
-    ps._validate_layout()  # _read_f64 checked finiteness
-    return ps
+    return PrototypeSet(source_id, dim, fraud, nonfraud, created_at)
 
 
 def _ser_bank(mb: MemoryBank) -> bytes:
@@ -234,14 +236,10 @@ def _ser_bank(mb: MemoryBank) -> bytes:
 
 def _deser_bank(data: bytes) -> MemoryBank:
     r = _open(data, MAGIC_BANK)
-    n = r.u32()
-    entries = []
-    for _ in range(n):
-        size = r.u32()
-        entries.append(_deser_prototype_set(r.take(size)))
+    entries = tuple(_deser_prototype_set(r.blob()) for _ in range(r.u32()))
     if r.pos != len(r.data):
         raise FormatError("trailing bytes after payload")
-    return MemoryBank(tuple(entries))
+    return MemoryBank(entries)
 
 
 def serialize(obj: PrototypeSet | MemoryBank) -> bytes:
@@ -254,14 +252,9 @@ def serialize(obj: PrototypeSet | MemoryBank) -> bytes:
 
 def deserialize(data) -> PrototypeSet | MemoryBank:
     """Decode bytes-like `data`; every array of the result owns its values."""
-    if len(data) < 8:
-        raise FormatError("truncated stream")
-    magic = bytes(data[:8])
-    if magic == MAGIC_PROTOTYPES:
-        return _deser_prototype_set(data)
-    if magic == MAGIC_BANK:
+    if bytes(data[:8]) == MAGIC_BANK:
         return _deser_bank(data)
-    raise FormatError(f"bad magic {magic!r}")
+    return _deser_prototype_set(data)  # its reader refuses a short stream or other magic
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +290,8 @@ def read_envelope(data) -> tuple[dict, dict[str, np.ndarray]]:
             raise FormatError("implausible tensor rank")
         shape = tuple(r.u32() for _ in range(ndim))
         tensors[name] = _read_f64(r, shape)
+        if not np.all(np.isfinite(tensors[name])):
+            raise FormatError(f"tensor {name!r}: non-finite values")
     if r.pos != len(r.data):
         raise FormatError("trailing bytes after payload")
     return meta, tensors

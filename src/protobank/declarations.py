@@ -41,9 +41,15 @@ CSV_COLUMNS = (
 )
 
 
+# The largest cif_value / gross_weight, the price_per_kg feature. A square of
+# a deviation from the mean is then at most 4e200, so their sum over any
+# dataset below 1e100 rows stays finite.
+_MAX_PRICE_PER_KG = 1e100
+
+
 @dataclass(frozen=True)
 class ImportDeclaration:
-    """One trade record; `illicit`/`revenue` are None when uninspected."""
+    """One trade record, checked when constructed; `illicit`/`revenue` are None when uninspected."""
 
     id: int
     date: Date
@@ -56,7 +62,7 @@ class ImportDeclaration:
     illicit: bool | None = None
     revenue: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not _HS6_RE.match(self.hs6):
             raise SchemaError(f"record {self.id}: hs6 {self.hs6!r} is not 6 digits")
         if not _COUNTRY_RE.match(self.country_code):
@@ -67,6 +73,9 @@ class ImportDeclaration:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise SchemaError(f"record {self.id}: {name} must be positive, got {v}")
+        price = self.cif_value / self.gross_weight
+        if not price <= _MAX_PRICE_PER_KG:
+            raise SchemaError(f"record {self.id}: price_per_kg {price} over {_MAX_PRICE_PER_KG:g}")
         if not (math.isfinite(self.total_taxes) and self.total_taxes >= 0):
             raise SchemaError(f"record {self.id}: total_taxes must be nonnegative")
         if (self.illicit is None) != (self.revenue is None):
@@ -101,8 +110,6 @@ class CountryDataset:
         ids = [r.id for r in recs]
         if len(set(ids)) != len(ids):
             raise SchemaError(f"dataset {country_id}: duplicate record ids")
-        for r in recs:
-            r.validate()
         if sealed is None:
             sealed = {r.id: (r.illicit, r.revenue) for r in recs if r.illicit is not None}
         hs6_vocab = {h: i for i, h in enumerate(sorted({r.hs6 for r in recs}))}
@@ -132,14 +139,14 @@ def _parse_row(row: dict[str, str], line: int) -> ImportDeclaration:
         if illicit_raw == "":
             illicit: bool | None = None
             if revenue_raw not in ("", "0", "0.0"):
-                raise SchemaError(f"line {line}: revenue given for unlabeled row")
+                raise SchemaError("revenue given for unlabeled row")
             revenue: float | None = None
         elif illicit_raw in ("0", "1"):
             illicit = illicit_raw == "1"
             revenue = float(revenue_raw) if revenue_raw else 0.0
         else:
-            raise SchemaError(f"line {line}: illicit must be 0, 1, or empty")
-        rec = ImportDeclaration(
+            raise SchemaError("illicit must be 0, 1, or empty")
+        return ImportDeclaration(
             id=int(row["id"]),
             date=Date.fromisoformat(row["date"].strip()),
             quantity=float(row["quantity"]),
@@ -151,15 +158,10 @@ def _parse_row(row: dict[str, str], line: int) -> ImportDeclaration:
             illicit=illicit,
             revenue=revenue,
         )
-    except SchemaError:
-        raise
-    except (KeyError, ValueError) as e:
-        raise SchemaError(f"line {line}: malformed row ({e})") from None
-    try:
-        rec.validate()
     except SchemaError as e:
         raise SchemaError(f"line {line}: {e}") from None
-    return rec
+    except (KeyError, ValueError) as e:
+        raise SchemaError(f"line {line}: malformed row ({e})") from None
 
 
 def _line_of_bad_utf8(path) -> int:

@@ -1,6 +1,8 @@
+import struct
 import subprocess
 import sys
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -200,8 +202,9 @@ class TestExitCodes:
             b"1,2024-01-02,1.0",  # fewer fields than the header
             b'1,2024-01-02,1.0,2.0,"' + b"9" * 140_000 + b'",US,10.0,1.0,0,0',  # past csv's limit
             b"1,2024-01-02,1.0,2.0,100\xff01,US,10.0,1.0,0,0",  # not UTF-8
+            b"1,2024-01-02,1.0,1e-300,100001,US,1e300,1.0,0,0",  # price_per_kg overflows
         ],
-        ids=["short", "long-field", "not-utf8"],
+        ids=["short", "long-field", "not-utf8", "price-over-bound"],
     )
     def test_unreadable_csv_row_is_data_error(self, tmp_path, capsys, row):
         bad = tmp_path / "bad.csv"
@@ -209,6 +212,29 @@ class TestExitCodes:
                         b"illicit,revenue\n0,2024-01-01,1.0,2.0,100001,US,10.0,1.0,0,0\n" + row + b"\n")
         assert main(["pretrain", "--data", str(bad), "--out", str(tmp_path / "m.pbm")]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            ((("AA", 32), ("CC", 16)), "dimension mismatch"),
+            ((("AA", 32), ("AA", 32)), "duplicate source_id"),
+        ],
+        ids=["mixed-dim", "duplicate-id"],
+    )
+    def test_bad_bank_file_is_data_error(self, world_dir, tmp_path, capsys, sets, message):
+        # built by hand: a MemoryBank holding these sets cannot be constructed
+        body = b"PROTOMEM" + struct.pack("<II", 1, len(sets))
+        for sid, dim in sets:
+            blob = serialize(PrototypeSet(sid, dim, np.ones((1, dim)), np.zeros((1, dim))))
+            body += struct.pack("<I", len(blob)) + blob
+        bank = tmp_path / "bad.pbk"
+        bank.write_bytes(body + struct.pack("<Q", zlib.crc32(body) & 0xFFFFFFFF))
+        out = tmp_path / "m.pbm"
+        assert main(["finetune", "--data", str(world_dir / "data" / "BB.csv"), "--country", "BB",
+                     "--bank", str(bank), "--epochs", "1", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert not out.exists()
 
     def test_bad_address_is_usage_error(self):
         assert main(["fetch-bank", "--from", "nonsense", "--sources", "A",

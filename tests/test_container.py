@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protobank.bank import assemble
 from protobank.container import (
+    FORMAT_VERSION,
+    MAGIC_BANK,
     MAGIC_PARAMS,
     MemoryBank,
     PrototypeSet,
@@ -70,17 +73,16 @@ class TestPrototypeContainers:
             deserialize(_patch_version(serialize(ps), 2))
 
     def test_nonfinite_payload_rejected(self):
-        ps = PrototypeSet("AB", 2, np.array([[1.0, np.inf]]), np.ones((1, 2)))
         with pytest.raises(DataError):
-            serialize(ps)
+            PrototypeSet("AB", 2, np.array([[1.0, np.inf]]), np.ones((1, 2)))
 
     def test_validation_rules(self):
         with pytest.raises(DataError):
-            PrototypeSet("", 2, np.ones((1, 2)), np.ones((1, 2))).validate()
+            PrototypeSet("", 2, np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(DataError):
-            PrototypeSet("A", 2, np.ones((0, 2)), np.ones((1, 2))).validate()
+            PrototypeSet("A", 2, np.ones((0, 2)), np.ones((1, 2)))
         with pytest.raises(DataError):
-            PrototypeSet("A", 3, np.ones((1, 2)), np.ones((1, 3))).validate()
+            PrototypeSet("A", 3, np.ones((1, 2)), np.ones((1, 3)))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -143,3 +145,36 @@ class TestDecodeContract:
         struct.pack_into("<II", body, 12, 2**32 - 1, 2**32 - 1)  # dim, fraud rows
         with pytest.raises(FormatError, match="truncated"):
             deserialize(_with_checksum(bytes(body)))
+
+
+def _nan_last_value(blob: bytes) -> bytes:
+    """`blob` with its last float64 payload value set to NaN, under a valid checksum."""
+    return _with_checksum(blob[:-16] + struct.pack("<d", np.nan))
+
+
+class TestNonFinitePayload:
+    """A NaN that the checksum covers is refused by what the bytes decode to."""
+
+    def test_prototype_set_is_data_error(self):
+        with pytest.raises(DataError, match="non-finite") as info:
+            deserialize(_nan_last_value(serialize(_SET)))
+        assert not isinstance(info.value, FormatError)
+
+    def test_memory_bank_is_data_error(self):
+        entry = _nan_last_value(serialize(_SET))
+        body = MAGIC_BANK + struct.pack("<III", FORMAT_VERSION, 1, len(entry)) + entry
+        with pytest.raises(DataError, match="non-finite") as info:
+            deserialize(_with_checksum(body))
+        assert not isinstance(info.value, FormatError)
+
+    def test_tensor_bundle_is_format_error(self):
+        blob = write_envelope({"kind": "encoder"}, {"w": np.ones((2, 2))})
+        with pytest.raises(FormatError, match="non-finite"):
+            read_envelope(_nan_last_value(blob))
+
+    def test_decode_and_assemble_scan_each_matrix_once(self, monkeypatch):
+        scanned = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a.shape) or isfinite(a))
+        assemble([deserialize(serialize(_SET))])
+        assert scanned == [(2, 3), (1, 3)]

@@ -52,27 +52,37 @@ def make_dataset(n=10, n_days=10, fraud_every=3):
 class TestImportDeclaration:
     def test_bad_hs6_rejected(self):
         with pytest.raises(SchemaError):
-            make_record(0, hs6="12AB56").validate()
+            make_record(0, hs6="12AB56")
 
     def test_revenue_on_nonfraud_rejected(self):
         with pytest.raises(SchemaError):
-            make_record(0, illicit=False, revenue=5.0).validate()
+            make_record(0, illicit=False, revenue=5.0)
 
     def test_revenue_without_label_rejected(self):
-        rec = ImportDeclaration(
-            id=0, date=date(2024, 1, 1), quantity=1.0, gross_weight=1.0, hs6="100001",
-            country_code="US", cif_value=1.0, total_taxes=0.0, illicit=None, revenue=3.0,
-        )
         with pytest.raises(SchemaError):
-            rec.validate()
+            ImportDeclaration(
+                id=0, date=date(2024, 1, 1), quantity=1.0, gross_weight=1.0, hs6="100001",
+                country_code="US", cif_value=1.0, total_taxes=0.0, illicit=None, revenue=3.0,
+            )
 
     def test_nonpositive_quantity_rejected(self):
-        rec = ImportDeclaration(
-            id=0, date=date(2024, 1, 1), quantity=0.0, gross_weight=1.0, hs6="100001",
-            country_code="US", cif_value=1.0, total_taxes=0.0,
-        )
         with pytest.raises(SchemaError):
-            rec.validate()
+            ImportDeclaration(
+                id=0, date=date(2024, 1, 1), quantity=0.0, gross_weight=1.0, hs6="100001",
+                country_code="US", cif_value=1.0, total_taxes=0.0,
+            )
+
+    @pytest.mark.parametrize(
+        "cif, weight",
+        [(1e300, 1e-300), (1e101, 1.0), (1e100, 0.5)],  # inf, then finite over the bound
+    )
+    def test_price_per_kg_over_bound_rejected(self, cif, weight):
+        with pytest.raises(SchemaError, match="record 7: price_per_kg"):
+            replace(make_record(7), cif_value=cif, gross_weight=weight)
+
+    def test_price_per_kg_at_bound_accepted(self):
+        rec = replace(make_record(0), cif_value=1e100, gross_weight=1.0)
+        assert rec.cif_value / rec.gross_weight == 1e100
 
 
 class TestDatasetBuild:
@@ -86,6 +96,23 @@ class TestDatasetBuild:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SchemaError):
             CountryDataset.build("XX", [make_record(1), make_record(1, day=3)])
+
+    def test_split_runs_no_record_checks(self, monkeypatch):
+        ds = make_dataset(60, n_days=60)
+        calls = []
+        check = ImportDeclaration.__post_init__
+
+        def counted(rec):
+            calls.append(rec.id)
+            check(rec)
+
+        monkeypatch.setattr(ImportDeclaration, "__post_init__", counted)
+        parts = split(ds, SplitSpec(test_window_days=10, valid_window_days=10))
+        assert sum(len(p) for p in parts.values()) == len(ds)
+        assert calls == []
+        masked = mask_labels(parts["train"], 0.5, seed=0)
+        # only the records whose labels were hidden are new values
+        assert len(calls) == sum(r.illicit is None for r in masked.records)
 
 
 class TestCsv:

@@ -64,6 +64,20 @@ class TestStats:
         )
         assert np.allclose(feats[:, 1], 0.0)
 
+    def test_price_per_kg_at_bound_stays_finite(self):
+        # the largest finite cif_value, at the largest price_per_kg a record may have
+        at_bound = [
+            dataclasses.replace(make_record(i), cif_value=1.7e308, gross_weight=1.7e208)
+            for i in range(3)
+        ]
+        ds = CountryDataset.build("XX", at_bound + [make_record(i) for i in range(3, 6)])
+        stats = standardize_stats(ds)
+        assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std))
+        params = EncoderParams.init(
+            np.random.default_rng(0), ds.hs6_vocab, ds.country_vocab, stats, SMALL
+        )
+        assert np.all(np.isfinite(score_records(params, ds.records)))
+
     def test_empty_split_errors(self):
         from protobank.declarations import CountryDataset
 
@@ -207,7 +221,7 @@ def test_featurization_bits_match_per_record_arrays():
     base = make_dataset(6).records
     extremes = [
         dict(quantity=1e-300, gross_weight=1e300, cif_value=1e-300, total_taxes=0.0),
-        dict(quantity=1e300, gross_weight=1e150, cif_value=1e300, total_taxes=1e300),
+        dict(quantity=1e300, gross_weight=1e200, cif_value=1e300, total_taxes=1e300),  # price_per_kg at its bound
         dict(quantity=5e-324, gross_weight=1.0, cif_value=5e-324, total_taxes=5e-324),
         dict(total_taxes=0.0),
     ]

@@ -1,15 +1,17 @@
-"""Every function the traced benchmark wraps must exist under its traced name.
+"""Every protobank name the benchmark uses must exist.
 
 `perfbench/spans.py` names the functions it wraps as (module, attribute)
-pairs; a deleted or renamed function would leave its span silent and fail
-the traced benchmark run instead of the test suite.
+pairs, and `perfbench/workloads.py` imports protobank names directly; a
+deleted or renamed name would fail the benchmark run instead of the test
+suite.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _traced() -> dict:
@@ -33,3 +35,9 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(f"{span} -> protobank.{mod_name}.{attr}")
     assert not missing, missing
+
+
+def test_workloads_import(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # as run.py imports it
+    workloads = importlib.import_module("workloads")
+    assert set(workloads.WORKLOADS) == {"transfer", "score_bulk", "export", "exchange"}
