@@ -23,18 +23,32 @@ from .encoder import (
     EncoderConfig,
     EncoderParams,
     batch_inputs,
+    check_tensors,
+    draw_tensors,
     embed_batch,
+    embed_matrix,
     encoder_from_meta,
     encoder_meta,
     forward_rows,
     score_batch,
     standardize_stats,
 )
+from .encoder import score_records as encoder_scores
 from .errors import DataError, FormatError, ShapeError
-from .numerics import OptimizerState, Tensor
-from .pretrain import stratified_batches, valid_metric
+from .numerics import Tensor
+from .pretrain import fit, labeled_targets
 
-_ADAPT_TENSORS = ("gate_w1", "gate_b1", "gate_w2", "gate_b2", "fuse_w", "fuse_b")
+
+def _adapt_specs(d: int) -> dict[str, tuple]:
+    """Shape and initial scale of each adaptation tensor, in draw order."""
+    return {
+        "gate_w1": ((2 * d, d), 1.0 / math.sqrt(2 * d)),
+        "gate_b1": ((d,), 0.0),
+        "gate_w2": ((d, d), 0.01),
+        "gate_b2": ((d,), 0.0),
+        "fuse_w": ((2 * d, d), 0.01),
+        "fuse_b": ((d,), 0.0),
+    }
 
 
 @dataclass(frozen=True)
@@ -62,40 +76,23 @@ class AdaptParams:
 
     encoder: EncoderParams
     tensors: dict[str, Tensor]
-    bank_matrix: np.ndarray | None = None  # frozen memory rows used at inference
-    use_memory: bool = False
+    bank_matrix: np.ndarray | None = None  # frozen memory rows; None disables the memory
     use_calibration: bool = True
 
     @staticmethod
     def init(encoder: EncoderParams, rng: np.random.Generator) -> "AdaptParams":
-        d = encoder.config.d
-
-        def w(shape, scale):
-            return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)
-
-        tensors = {
-            "gate_w1": w((2 * d, d), 1.0 / math.sqrt(2 * d)),
-            "gate_b1": Tensor(np.zeros(d), requires_grad=True),
-            "gate_w2": w((d, d), 0.01),
-            "gate_b2": Tensor(np.zeros(d), requires_grad=True),
-            "fuse_w": w((2 * d, d), 0.01),
-            "fuse_b": Tensor(np.zeros(d), requires_grad=True),
-        }
-        return AdaptParams(encoder, tensors)
+        return AdaptParams(encoder, draw_tensors(rng, _adapt_specs(encoder.config.d)))
 
     def copy(self) -> "AdaptParams":
         return AdaptParams(
             self.encoder.copy(),
             {k: Tensor(t.data.copy(), requires_grad=True) for k, t in self.tensors.items()},
             None if self.bank_matrix is None else self.bank_matrix.copy(),
-            self.use_memory,
             self.use_calibration,
         )
 
     def all_tensors(self) -> dict[str, Tensor]:
-        merged = dict(self.encoder.tensors)
-        merged.update(self.tensors)
-        return merged
+        return {**self.encoder.tensors, **self.tensors}
 
 
 def memory_attend(h, memory) -> tuple[Tensor, Tensor]:
@@ -158,9 +155,8 @@ def target_forward(
 
 def score_records(params: AdaptParams, records) -> np.ndarray:
     """Fraud scores for many records through the full target model."""
-    bank = params.bank_matrix if params.use_memory else None
     return forward_rows(
-        params.encoder, records, lambda *x: target_forward(params, *x, bank)[0], 1
+        params.encoder, records, lambda *x: target_forward(params, *x, params.bank_matrix)[0], 1
     )[:, 0]
 
 
@@ -201,49 +197,27 @@ def finetune(
     (the consistency penalty of the adaptive-transfer baseline uses it).
     """
     cfg.validate()
-    labeled = target_train.labeled()
-    y = np.array([1 if r.illicit else 0 for r in labeled])
-    if len(labeled) < 1 or len(np.unique(y)) < 2:
-        raise DataError(
-            f"{target_train.country_id}: fine-tuning needs labeled records of both classes"
-        )
+    labeled, y = labeled_targets(target_train, "fine-tuning")
     rng = np.random.default_rng(cfg.seed)
     params = _init_model(target_train, source_params, cfg, rng)
-    use_memory = bool(cfg.use_memory and memory is not None and len(memory) > 0)
-    bank = memory.matrix() if use_memory else None
+    use_memory = cfg.use_memory and memory is not None and len(memory) > 0
+    bank = params.bank_matrix = memory.matrix() if use_memory else None
     if bank is not None and bank.shape[1] != params.encoder.config.d:
         raise ShapeError(
             f"bank dimension {bank.shape[1]} != representation width {params.encoder.config.d}"
         )
-    params.bank_matrix = bank
-    params.use_memory = use_memory
     params.use_calibration = cfg.use_calibration
-
-    trainable = params.all_tensors()
-    opt = OptimizerState(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
     feats, hs6_idx, cty_idx = batch_inputs(params.encoder, labeled)
 
-    best = params.copy()
-    best_metric = -np.inf
-    curve: list[dict] = []
-    for epoch in range(cfg.epochs):
-        bce_sum = 0.0
-        for idx in stratified_batches(y, cfg.batch_size, rng):
-            pred, _ = target_forward(params, feats[idx], hs6_idx[idx], cty_idx[idx], bank)
-            loss = nm.bce(pred, Tensor(y[idx].astype(np.float64).reshape(-1, 1)))
-            bce_val = loss.item()
-            if extra_loss is not None:
-                loss = nm.add(loss, extra_loss(params))
-            nm.zero_grads(params.all_tensors())
-            loss.backward()
-            nm.opt_step(trainable, opt)
-            bce_sum += bce_val * len(idx)
-        metric, _ = valid_metric(score_records(params, target_valid.records), target_valid, 0.05)
-        curve.append({"epoch": epoch, "train_bce": bce_sum / len(labeled), "valid_metric": metric})
-        if metric > best_metric:
-            best_metric = metric
-            best = params.copy()
-    return best, curve
+    def batch_loss(idx):
+        pred, _ = target_forward(params, feats[idx], hs6_idx[idx], cty_idx[idx], bank)
+        loss = nm.bce(pred, Tensor(y[idx].astype(np.float64).reshape(-1, 1)))
+        bce_val = loss.item()
+        if extra_loss is not None:
+            loss = nm.add(loss, extra_loss(params))
+        return loss, {"train_bce": bce_val}
+
+    return fit(params, params.all_tensors(), score_records, target_valid, y, batch_loss, cfg, rng)
 
 
 def consistency_subset(labeled, src_scores, tgt_scores, keep_fraction: float):
@@ -280,21 +254,16 @@ def akc_finetune(
         target_pretrained, _ = finetune(target_train, target_valid, None, None, pre_cfg)
 
     labeled = target_train.labeled()
-    from .encoder import score_records as enc_scores  # plain encoder scoring
-
-    src_scores = enc_scores(source_params, labeled)
+    src_scores = encoder_scores(source_params, labeled)
     tgt_scores = score_records(target_pretrained, labeled)
     selected = consistency_subset(labeled, src_scores, tgt_scores, keep_fraction)
 
-    from .encoder import embed_matrix
-
     source_h = Tensor(embed_matrix(source_params, selected))
-    sel_inputs = None
+    # the fine-tuned encoder starts as a copy of the source one and keeps its
+    # feature statistics and vocabularies, so these inputs stay valid
+    sel_inputs = batch_inputs(source_params, selected)
 
     def consistency(params: AdaptParams) -> Tensor:
-        nonlocal sel_inputs
-        if sel_inputs is None:
-            sel_inputs = batch_inputs(params.encoder, selected)
         _, _, _, h = embed_batch(params.encoder, *sel_inputs)
         diff = nm.sub(h, source_h)
         return nm.mul(nm.reduce_mean(nm.mul(diff, diff)), akc_weight)
@@ -310,9 +279,7 @@ def akc_finetune(
 def save_adapt(params: AdaptParams) -> bytes:
     meta = encoder_meta(params.encoder)
     meta["kind"] = "adapt"
-    meta["use_memory"] = params.use_memory
     meta["use_calibration"] = params.use_calibration
-    meta["has_bank"] = params.bank_matrix is not None
     tensors = {k: t.data for k, t in params.encoder.tensors.items()}
     tensors.update({f"adapt.{k}": t.data for k, t in params.tensors.items()})
     if params.bank_matrix is not None:
@@ -320,39 +287,28 @@ def save_adapt(params: AdaptParams) -> bytes:
     return write_envelope(meta, tensors)
 
 
-def load_adapt(data: bytes) -> AdaptParams:
+def load_model(data: bytes) -> EncoderParams | AdaptParams:
+    """The encoder or target model a bundle describes; FormatError unless its
+    tensors are exactly the ones `EncoderParams.init` (and `AdaptParams.init`)
+    make for it, plus at most one (M, d) memory bank."""
     meta, tensors = read_envelope(data)
-    if meta.get("kind") != "adapt":
-        raise FormatError(f"expected an adaptation bundle, got kind={meta.get('kind')!r}")
-    bank = tensors.pop("memory.bank", None)
-    adapt_tensors = {}
-    enc_tensors = {}
-    for name, arr in tensors.items():
-        if name.startswith("adapt."):
-            adapt_tensors[name[len("adapt.") :]] = Tensor(arr, requires_grad=True)
-        else:
-            enc_tensors[name] = arr
-    missing = set(_ADAPT_TENSORS) - set(adapt_tensors)
-    if missing:
-        raise FormatError(f"adaptation bundle missing tensors {sorted(missing)}")
-    enc = encoder_from_meta(meta, enc_tensors)
-    return AdaptParams(
-        enc,
-        adapt_tensors,
-        bank,
-        bool(meta.get("use_memory", False)),
-        bool(meta.get("use_calibration", True)),
-    )
-
-
-def load_model(data: bytes):
-    """Load either an encoder bundle or an adaptation bundle."""
-    meta, _ = read_envelope(data)
     kind = meta.get("kind")
     if kind == "encoder":
-        from .encoder import load_encoder
-
-        return load_encoder(data)
-    if kind == "adapt":
-        return load_adapt(data)
-    raise FormatError(f"unknown model kind {kind!r}")
+        return encoder_from_meta(meta, tensors)
+    if kind != "adapt":
+        raise FormatError(f"unknown model kind {kind!r}")
+    bank = tensors.pop("memory.bank", None)
+    adapt_tensors = {k[len("adapt.") :]: v for k, v in tensors.items() if k.startswith("adapt.")}
+    enc = encoder_from_meta(meta, {k: v for k, v in tensors.items() if not k.startswith("adapt.")})
+    check_tensors(adapt_tensors, _adapt_specs(enc.config.d), "adaptation")
+    if bank is not None and (bank.ndim != 2 or bank.shape[0] < 1 or bank.shape[1] != enc.config.d):
+        raise FormatError(f"memory bank of shape {bank.shape} does not fit width {enc.config.d}")
+    use_calibration = meta.get("use_calibration")
+    if type(use_calibration) is not bool:
+        raise FormatError(f"use_calibration must be a boolean, got {use_calibration!r}")
+    return AdaptParams(
+        enc,
+        {k: Tensor(v, requires_grad=True) for k, v in adapt_tensors.items()},
+        bank,
+        use_calibration,
+    )

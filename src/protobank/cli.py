@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .adapt import FinetuneConfig, finetune, load_model, save_adapt
+from .adapt import score_records as adapt_scores
 from .bank import BankClient, assemble, bank_service, extract_prototypes
 from .container import MemoryBank, PrototypeSet, deserialize, serialize
 from .declarations import (
@@ -37,6 +38,10 @@ from .evaluation import (
     suite_configs,
 )
 from .pretrain import PretrainConfig, curve_to_csv, pretrain, select_fraud_like
+
+
+PRETRAIN_CURVE = ("epoch", "scl_loss", "cls_loss", "valid_revenue")  # --curve CSV columns
+FINETUNE_CURVE = ("epoch", "train_bce", "valid_metric")
 
 
 class UsageError(Exception):
@@ -162,7 +167,7 @@ def _cmd_pretrain(args) -> int:
     params, curve = pretrain(parts["train"], parts["valid"], cfg)
     Path(args.out).write_bytes(save_encoder(params))
     if args.curve:
-        Path(args.curve).write_text(curve_to_csv(curve), encoding="utf-8")
+        Path(args.curve).write_text(curve_to_csv(curve, PRETRAIN_CURVE), encoding="utf-8")
     print(f"wrote model to {args.out}", file=sys.stderr)
     return 0
 
@@ -238,10 +243,7 @@ def _cmd_finetune(args) -> int:
     params, curve = finetune(train, parts["valid"], bank, source, cfg)
     Path(args.out).write_bytes(save_adapt(params))
     if args.curve:
-        rows = ["epoch,train_bce,valid_metric"] + [
-            f"{r['epoch']},{r['train_bce']!r},{r['valid_metric']!r}" for r in curve
-        ]
-        Path(args.curve).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        Path(args.curve).write_text(curve_to_csv(curve, FINETUNE_CURVE), encoding="utf-8")
     print(f"wrote fine-tuned model to {args.out}", file=sys.stderr)
     return 0
 
@@ -252,8 +254,6 @@ def _cmd_eval(args) -> int:
     if isinstance(model, EncoderParams):
         scores = score_records(model, ds.records)
     else:
-        from .adapt import score_records as adapt_scores
-
         scores = adapt_scores(model, ds.records)
     value = revenue_at_k(scores, ds, args.rate)
     print(f"{value:.4f}")

@@ -281,6 +281,8 @@ def read_envelope(data) -> tuple[dict, dict[str, np.ndarray]]:
         meta = json.loads(r.string())
     except json.JSONDecodeError as e:
         raise FormatError(f"bad metadata json: {e}") from None
+    if not isinstance(meta, dict):
+        raise FormatError("metadata is not a json object")
     n = r.u32()
     tensors = {}
     for _ in range(n):

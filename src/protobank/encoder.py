@@ -17,7 +17,7 @@ learned "unknown" row of each embedding table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,49 @@ def standardize_stats(train: CountryDataset) -> FeatureStats:
     return FeatureStats(feats.mean(axis=0), np.maximum(feats.std(axis=0), 1e-6))
 
 
+def tensor_specs(config: EncoderConfig, n_hs6: int, n_country: int) -> dict[str, tuple]:
+    """Shape and initial scale of each encoder tensor, in draw order."""
+    k, d, c, f = config.k, config.d, config.n_kernels, len(FEATURE_NAMES)
+    # extra row in each table is the learned "unknown" embedding
+    specs = {
+        "hs6_table": ((n_hs6 + 1, k), 0.1),
+        "country_table": ((n_country + 1, k), 0.1),
+        "w_num": ((f, k), 1.0 / math.sqrt(f)),
+        "b_p": ((k,), 0.0),
+    }
+    if config.use_interaction:
+        specs["conv_kernels"] = ((c, 3, 3), 1.0 / 3.0)
+        specs["conv_bias"] = ((c,), 0.0)
+        specs["w_pool"] = ((c, k), 1.0 / math.sqrt(c))
+        specs["b_pool"] = ((k,), 0.0)
+    specs["w_fuse"] = ((2 * k, d), 1.0 / math.sqrt(2 * k))
+    specs["b_fuse"] = ((d,), 0.0)
+    return {**specs, **_head_specs(d)}
+
+
+def _head_specs(d: int) -> dict[str, tuple]:
+    return {"head_w": ((d, 1), 1.0 / math.sqrt(d)), "head_b": ((1,), 0.0)}
+
+
+def draw_tensors(rng: np.random.Generator, specs) -> dict[str, Tensor]:
+    """Trainable tensors drawn from N(0, scale^2) in spec order; scale 0 gives zeros."""
+    return {
+        name: Tensor(
+            rng.normal(0.0, scale, shape) if scale else np.zeros(shape), requires_grad=True
+        )
+        for name, (shape, scale) in specs.items()
+    }
+
+
+def check_tensors(tensors: dict[str, np.ndarray], specs, what: str) -> None:
+    """FormatError unless `tensors` has exactly the names and shapes of `specs`."""
+    for name in sorted(specs.keys() | tensors.keys()):
+        want = specs[name][0] if name in specs else None
+        got = tensors[name].shape if name in tensors else None
+        if got != want:
+            raise FormatError(f"{what} tensor {name!r} has shape {got}, expected {want}")
+
+
 @dataclass
 class EncoderParams:
     """All learnable encoder state plus the frozen featurization context."""
@@ -86,38 +129,11 @@ class EncoderParams:
         stats: FeatureStats,
         config: EncoderConfig = EncoderConfig(),
     ) -> "EncoderParams":
-        k, d, c = config.k, config.d, config.n_kernels
-
-        def w(shape, scale):
-            return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)
-
-        def zeros(shape):
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        # extra row in each table is the learned "unknown" embedding
-        tensors = {
-            "hs6_table": w((len(hs6_vocab) + 1, k), 0.1),
-            "country_table": w((len(country_vocab) + 1, k), 0.1),
-            "w_num": w((len(FEATURE_NAMES), k), 1.0 / math.sqrt(len(FEATURE_NAMES))),
-            "b_p": zeros((k,)),
-        }
-        if config.use_interaction:
-            tensors["conv_kernels"] = w((c, 3, 3), 1.0 / 3.0)
-            tensors["conv_bias"] = zeros((c,))
-            tensors["w_pool"] = w((c, k), 1.0 / math.sqrt(c))
-            tensors["b_pool"] = zeros((k,))
-        tensors["w_fuse"] = w((2 * k, d), 1.0 / math.sqrt(2 * k))
-        tensors["b_fuse"] = zeros((d,))
-        params = EncoderParams(config, dict(hs6_vocab), dict(country_vocab), stats, tensors)
-        params.reinit_head(rng)
-        return params
+        tensors = draw_tensors(rng, tensor_specs(config, len(hs6_vocab), len(country_vocab)))
+        return EncoderParams(config, dict(hs6_vocab), dict(country_vocab), stats, tensors)
 
     def reinit_head(self, rng: np.random.Generator) -> None:
-        d = self.config.d
-        self.tensors["head_w"] = Tensor(
-            rng.normal(0.0, 1.0 / math.sqrt(d), (d, 1)), requires_grad=True
-        )
-        self.tensors["head_b"] = Tensor(np.zeros((1,)), requires_grad=True)
+        self.tensors.update(draw_tensors(rng, _head_specs(self.config.d)))
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(
@@ -242,12 +258,7 @@ def _vocab_to_list(vocab: dict[str, int]) -> list[str]:
 def encoder_meta(params: EncoderParams) -> dict:
     return {
         "kind": "encoder",
-        "config": {
-            "k": params.config.k,
-            "d": params.config.d,
-            "n_kernels": params.config.n_kernels,
-            "use_interaction": params.config.use_interaction,
-        },
+        "config": asdict(params.config),
         "hs6_vocab": _vocab_to_list(params.hs6_vocab),
         "country_vocab": _vocab_to_list(params.country_vocab),
         "feature_mean": params.stats.mean.tolist(),
@@ -255,16 +266,37 @@ def encoder_meta(params: EncoderParams) -> dict:
     }
 
 
+def _vocab_from_list(names) -> dict[str, int]:
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise FormatError("a vocabulary must be a list of strings")
+    return {n: i for i, n in enumerate(names)}  # a repeated name fails the table shape check
+
+
 def encoder_from_meta(meta: dict, tensors: dict[str, np.ndarray]) -> EncoderParams:
-    cfg = EncoderConfig(**meta["config"])
-    params = EncoderParams(
+    """The encoder a bundle describes; FormatError unless its tensors are exactly
+    the ones `EncoderParams.init` makes for its config and vocabularies."""
+    try:
+        cfg = EncoderConfig(**meta["config"])
+        hs6_vocab = _vocab_from_list(meta["hs6_vocab"])
+        country_vocab = _vocab_from_list(meta["country_vocab"])
+        mean = np.asarray(meta["feature_mean"], dtype=np.float64)
+        std = np.asarray(meta["feature_std"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"malformed encoder metadata: {e!r}") from None
+    widths = (cfg.k, cfg.d, cfg.n_kernels)
+    if not all(type(w) is int and w >= 1 for w in widths) or type(cfg.use_interaction) is not bool:
+        raise FormatError(f"invalid encoder config {meta['config']}")
+    if not (mean.shape == std.shape == (len(FEATURE_NAMES),) and np.isfinite(mean).all()
+            and np.isfinite(std).all() and (std > 0).all()):
+        raise FormatError("feature statistics must be 5 finite means and 5 positive stdevs")
+    check_tensors(tensors, tensor_specs(cfg, len(hs6_vocab), len(country_vocab)), "encoder")
+    return EncoderParams(
         cfg,
-        {h: i for i, h in enumerate(meta["hs6_vocab"])},
-        {c: i for i, c in enumerate(meta["country_vocab"])},
-        FeatureStats(np.asarray(meta["feature_mean"]), np.asarray(meta["feature_std"])),
+        hs6_vocab,
+        country_vocab,
+        FeatureStats(mean, std),
         {k: Tensor(v, requires_grad=True) for k, v in tensors.items()},
     )
-    return params
 
 
 def save_encoder(params: EncoderParams) -> bytes:

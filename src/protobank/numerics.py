@@ -75,12 +75,12 @@ class Tensor:
         grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
             g = grads.pop(id(node), None)
-            if g is None or node._vjp is None:
-                if g is not None and node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+            if g is None:
                 continue
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
+            if node._vjp is None:
+                continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None:
                     continue
@@ -482,6 +482,10 @@ def grad_check(f, x: Tensor, eps: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 # optimizer: adaptive moments + decoupled weight decay
 
+BETA1 = 0.9  # decay of the first-moment (mean) estimate
+BETA2 = 0.999  # decay of the second-moment estimate
+EPS = 1e-8  # added to the root of the second moment
+
 
 @dataclass
 class OptimizerState:
@@ -489,9 +493,6 @@ class OptimizerState:
 
     learning_rate: float = 0.005
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, Array] = field(default_factory=dict)
     v: dict[str, Array] = field(default_factory=dict)
@@ -501,17 +502,17 @@ def opt_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """One in-place adaptive-moment step; decay is decoupled from the gradient."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape mismatch for {name!r}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
         p.data -= state.learning_rate * update
         if state.weight_decay:
             p.data *= 1.0 - state.learning_rate * state.weight_decay

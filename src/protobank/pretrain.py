@@ -105,21 +105,59 @@ def stratified_batches(
     return [np.concatenate(c) for c in chunks if sum(len(p) for p in c) > 0]
 
 
-def valid_metric(scores: np.ndarray, valid: CountryDataset, rate: float) -> tuple[float, bool]:
-    """Validation Revenue@rate of `scores` and True; -BCE and False when revenue
+def valid_metric(scores: np.ndarray, valid: CountryDataset) -> tuple[float, bool]:
+    """Validation Revenue@5% of `scores` and True; -BCE and False when revenue
     is undefined; -inf and False on an empty split."""
     from .evaluation import revenue_at_k  # local import to avoid a module cycle
 
     if not valid.records:
         return -np.inf, False
     try:
-        return revenue_at_k(scores, valid, rate), True
+        return revenue_at_k(scores, valid, 0.05), True
     except (MetricError, DataError):
         labels = np.array(
             [1.0 if valid.sealed.get(r.id, (False,))[0] else 0.0 for r in valid.records]
         )
         p = np.clip(scores, 1e-12, 1 - 1e-12)
         return float(np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))), False
+
+
+def labeled_targets(ds: CountryDataset, stage: str) -> tuple[list, np.ndarray]:
+    """Labeled records and their 0/1 targets; both classes must be present."""
+    labeled = ds.labeled()
+    y = np.array([1 if r.illicit else 0 for r in labeled])
+    if len(np.unique(y)) < 2:
+        raise DataError(f"{ds.country_id}: {stage} needs labeled records of both classes")
+    return labeled, y
+
+
+def fit(model, tensors: dict[str, Tensor], score, valid: CountryDataset, y, batch_loss, cfg, rng):
+    """The epoch loop of both stages: per stratified batch `idx` of targets `y`,
+    one optimizer step of `tensors` on `batch_loss(idx) -> (loss, {part: value})`.
+
+    Returns the best-validation `model.copy()` (ties keep the earlier epoch) and
+    one curve row per epoch: each part's batch-weighted mean, `valid_metric` of
+    `score(model, valid.records)`, and `valid_revenue` (NaN after a fallback).
+    """
+    opt = OptimizerState(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    best, best_metric = model.copy(), -np.inf
+    curve: list[dict] = []
+    for epoch in range(cfg.epochs):
+        sums: dict[str, float] = {}
+        for idx in stratified_batches(y, cfg.batch_size, rng):
+            loss, parts = batch_loss(idx)
+            nm.zero_grads(tensors)
+            loss.backward()
+            nm.opt_step(tensors, opt)
+            for name, value in parts.items():
+                sums[name] = sums.get(name, 0.0) + value * len(idx)
+        metric, is_revenue = valid_metric(score(model, valid.records), valid)
+        means = {name: s / len(y) for name, s in sums.items()}
+        revenue = metric if is_revenue else float("nan")
+        curve.append({"epoch": epoch, **means, "valid_metric": metric, "valid_revenue": revenue})
+        if metric > best_metric:
+            best, best_metric = model.copy(), metric
+    return best, curve
 
 
 def pretrain(
@@ -129,66 +167,35 @@ def pretrain(
 ) -> tuple[EncoderParams, list[dict]]:
     """Train the encoder on labeled source records; keep the best-validation epoch."""
     cfg.validate()
-    labeled = ds_train.labeled()
-    y = np.array([1 if r.illicit else 0 for r in labeled])
-    if len(labeled) < 2 or len(np.unique(y)) < 2:
-        raise DataError(f"{ds_train.country_id}: pretraining needs labeled records of both classes")
-
+    labeled, y = labeled_targets(ds_train, "pretraining")
     rng = np.random.default_rng(cfg.seed)
     params = EncoderParams.init(
         rng, ds_train.hs6_vocab, ds_train.country_vocab, standardize_stats(ds_train), cfg.encoder
     )
-    opt = OptimizerState(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
     feats, hs6_idx, cty_idx = batch_inputs(params, labeled)
 
-    best = params.copy()
-    best_metric = -np.inf
-    curve: list[dict] = []
-    for epoch in range(cfg.epochs):
-        scl_sum = cls_sum = 0.0
-        batches = stratified_batches(y, cfg.batch_size, rng)
-        for idx in batches:
-            _, _, _, h = embed_batch(params, feats[idx], hs6_idx[idx], cty_idx[idx])
-            parts = []
-            scl_val = 0.0
-            if cfg.scl_weight and len(idx) >= 2:
-                scl = scl_loss(h, y[idx], cfg.tau)
-                scl_val = scl.item()
-                # averaged per anchor in the joint objective: the raw sum grows
-                # with batch size and swamps the classification term
-                parts.append(nm.mul(scl, cfg.scl_weight / len(idx)))
-            pred = score_batch(params, h)
-            cls = nm.bce(pred, Tensor(y[idx].astype(np.float64).reshape(-1, 1)))
-            parts.append(nm.mul(cls, cfg.cls_weight))
-            loss = parts[0]
-            for extra in parts[1:]:
-                loss = nm.add(loss, extra)
-            nm.zero_grads(params.tensors)
-            loss.backward()
-            nm.opt_step(params.tensors, opt)
-            scl_sum += scl_val * len(idx)
-            cls_sum += cls.item() * len(idx)
-        metric, is_revenue = valid_metric(score_records(params, ds_valid.records), ds_valid, 0.05)
-        curve.append(
-            {
-                "epoch": epoch,
-                "scl_loss": scl_sum / len(labeled),
-                "cls_loss": cls_sum / len(labeled),
-                "valid_revenue": metric if is_revenue else float("nan"),
-            }
-        )
-        if metric > best_metric:
-            best_metric = metric
-            best = params.copy()
-    return best, curve
+    def batch_loss(idx):
+        _, _, _, h = embed_batch(params, feats[idx], hs6_idx[idx], cty_idx[idx])
+        scl_val, scl_part = 0.0, None
+        if cfg.scl_weight and len(idx) >= 2:
+            scl = scl_loss(h, y[idx], cfg.tau)
+            scl_val = scl.item()
+            # averaged per anchor in the joint objective: the raw sum grows
+            # with batch size and swamps the classification term
+            scl_part = nm.mul(scl, cfg.scl_weight / len(idx))
+        cls = nm.bce(score_batch(params, h), Tensor(y[idx].astype(np.float64).reshape(-1, 1)))
+        loss = nm.mul(cls, cfg.cls_weight)
+        if scl_part is not None:
+            loss = nm.add(scl_part, loss)
+        return loss, {"scl_loss": scl_val, "cls_loss": cls.item()}
+
+    return fit(params, params.tensors, score_records, ds_valid, y, batch_loss, cfg, rng)
 
 
-def curve_to_csv(curve: list[dict]) -> str:
-    lines = ["epoch,scl_loss,cls_loss,valid_revenue"]
-    for row in curve:
-        lines.append(
-            f"{row['epoch']},{row['scl_loss']!r},{row['cls_loss']!r},{row['valid_revenue']!r}"
-        )
+def curve_to_csv(curve: list[dict], columns: tuple[str, ...]) -> str:
+    """The `columns` of each curve row as CSV, floats in repr form."""
+    lines = [",".join(columns)]
+    lines += [",".join(repr(row[c]) for c in columns) for row in curve]
     return "\n".join(lines) + "\n"
 
 

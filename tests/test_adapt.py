@@ -10,7 +10,6 @@ from protobank.adapt import (
     akc_finetune,
     calibrate,
     finetune,
-    load_adapt,
     load_model,
     memory_attend,
     refine,
@@ -169,6 +168,14 @@ class TestFinetune:
         for name, t in a.all_tensors().items():
             assert np.array_equal(t.data, b.all_tensors()[name].data)
 
+    def test_curve_rows_carry_metric_and_revenue(self):
+        parts = self._parts()
+        _, curve = finetune(parts["train"], parts["valid"], small_bank(dim=8), None, SMALL_FT)
+        assert [r["epoch"] for r in curve] == list(range(SMALL_FT.epochs))
+        for row in curve:
+            assert set(row) == {"epoch", "train_bce", "valid_metric", "valid_revenue"}
+            assert row["valid_revenue"] == row["valid_metric"] or math.isnan(row["valid_revenue"])
+
     def test_zero_epochs_returns_init(self):
         parts = self._parts()
         cfg = FinetuneConfig(epochs=0, seed=3, encoder=SMALL_FT.encoder)
@@ -227,9 +234,9 @@ class TestFinetune:
         bank = small_bank(dim=8, rows=6, seed=4)
         cfg = FinetuneConfig(epochs=2, seed=1, use_memory=True, encoder=SMALL_FT.encoder)
         model, _ = finetune(parts["train"], parts["valid"], bank, None, cfg)
-        assert model.use_memory and model.bank_matrix is not None
+        assert model.bank_matrix is not None
         with_bank = score_records(model, parts["test"].records)
-        model.use_memory = False
+        model.bank_matrix = None
         without = score_records(model, parts["test"].records)
         assert not np.allclose(with_bank, without)
 
@@ -320,8 +327,8 @@ class TestAdaptSerialization:
         cfg = FinetuneConfig(epochs=1, seed=1, use_memory=True, encoder=SMALL_FT.encoder)
         model, _ = finetune(parts["train"], parts["valid"], bank, None, cfg)
         blob = save_adapt(model)
-        again = load_adapt(blob)
-        assert again.use_memory and again.use_calibration
+        again = load_model(blob)
+        assert again.bank_matrix is not None and again.use_calibration
         assert np.array_equal(again.bank_matrix, model.bank_matrix)
         scores_a = score_records(model, parts["test"].records)
         scores_b = score_records(again, parts["test"].records)
@@ -348,7 +355,6 @@ class TestGraphFreeScoring:
 
         model = small_adapt(d=6)
         model.bank_matrix = small_bank(dim=6).matrix()
-        model.use_memory = True
         # a mixed set of flags must come back exactly as it was
         model.tensors["gate_w1"] = Tensor(model.tensors["gate_w1"].data)
         flags = {k: t.requires_grad for k, t in model.all_tensors().items()}

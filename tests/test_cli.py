@@ -9,7 +9,14 @@ import pytest
 
 from protobank.bank import BankClient
 from protobank.cli import UsageError, _parse_address, main, parse_world_config
-from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
+from protobank.container import (
+    MemoryBank,
+    PrototypeSet,
+    deserialize,
+    read_envelope,
+    serialize,
+    write_envelope,
+)
 from protobank.errors import DataError
 
 WORLD_CFG = """
@@ -46,6 +53,24 @@ def pretrained(world_dir):
         "--curve", str(world_dir / "curve.csv"),
     ])
     assert rc == 0
+    return model
+
+
+@pytest.fixture(scope="module")
+def finetuned(world_dir, pretrained):
+    bank = world_dir / "ft.pbk"
+    assert main([
+        "export-bank", "--model", str(pretrained), "--data", str(world_dir / "data" / "AA.csv"),
+        "--country", "AA", "--per-class", "5", "--fraction", "0.15", "--out", str(bank),
+        "--seed", "0",
+    ]) == 0
+    model = world_dir / "ft.pbm"
+    assert main([
+        "finetune", "--data", str(world_dir / "data" / "BB.csv"), "--country", "BB",
+        "--bank", str(bank), "--init-from", str(pretrained), "--label-fraction", "0.05",
+        "--epochs", "2", "--seed", "0", "--out", str(model),
+        "--curve", str(world_dir / "ft_curve.csv"),
+    ]) == 0
     return model
 
 
@@ -115,6 +140,12 @@ class TestPipeline:
         assert rc == 0
         out = capsys.readouterr().out.strip()
         assert out == "1.0000"  # full inspection captures everything
+
+    def test_finetune_curve(self, world_dir, finetuned):
+        curve = (world_dir / "ft_curve.csv").read_text().splitlines()
+        assert curve[0] == "epoch,train_bce,valid_metric"
+        assert [row.split(",")[0] for row in curve[1:]] == ["0", "1"]  # one row per epoch
+        assert all(len(row.split(",")) == 3 for row in curve[1:])
 
     def test_eval_speaks_plain_revenue(self, world_dir, pretrained, capsys):
         capsys.readouterr()
@@ -235,6 +266,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "adapt, edit",
+        [
+            (False, lambda m, t: m.pop("config")),
+            (False, lambda m, t: m["config"].update(width=3)),
+            (False, lambda m, t: t.pop("w_num")),
+            (False, lambda m, t: t.update(w_num=np.ones((3, 3)))),
+            (False, lambda m, t: m.update(feature_std=[0.0] * 5)),
+            (False, lambda m, t: m.update(feature_mean=[0.0])),
+            (False, lambda m, t: m["config"].update(k=4.0)),
+            (False, lambda m, t: m.update(hs6_vocab=m["hs6_vocab"][:1] * 2)),
+            (False, lambda m, t: t.update(extra=np.ones(2))),
+            (True, lambda m, t: t.update({"memory.bank": np.ones((4, 7))})),
+            (True, lambda m, t: t.pop("adapt.gate_w1")),
+            (True, lambda m, t: m.update(use_calibration="yes")),
+        ],
+        ids=[
+            "no-config", "unknown-config-key", "no-w_num", "w_num-3x3", "zero-std",
+            "short-mean", "float-width", "repeated-vocab", "extra-tensor", "bank-width-7",
+            "no-gate_w1", "string-flag",
+        ],
+    )
+    def test_malformed_model_bundle_is_data_error(
+        self, tmp_path, capsys, pretrained, finetuned, adapt, edit
+    ):
+        # checksummed, decodable bundles whose content does not describe a model
+        meta, tensors = read_envelope((finetuned if adapt else pretrained).read_bytes())
+        edit(meta, tensors)
+        bad = tmp_path / "bad.pbm"
+        bad.write_bytes(write_envelope(meta, tensors))
+        data = pretrained.parents[0] / "data" / "BB.csv"
+        assert main(["eval", "--model", str(bad), "--data", str(data), "--country", "BB"]) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_bad_address_is_usage_error(self):
         assert main(["fetch-bank", "--from", "nonsense", "--sources", "A",

@@ -58,6 +58,11 @@ class TestEnvelope:
         with pytest.raises(FormatError, match="trailing"):
             read_envelope(bad)
 
+    @pytest.mark.parametrize("meta", [["kind"], "encoder", 3, None])
+    def test_meta_must_be_an_object(self, meta):
+        with pytest.raises(FormatError, match="json object"):
+            read_envelope(write_envelope(meta, {}))
+
     def test_wrong_magic_rejected(self):
         blob = write_envelope({"kind": "x"}, {})
         assert blob[:8] == MAGIC_PARAMS

@@ -301,7 +301,6 @@ class TestBlockedInteraction:
         params = world_params()
         model = adapt.AdaptParams.init(params, np.random.default_rng(1))
         model.bank_matrix = np.random.default_rng(2).normal(size=(40, params.config.d))
-        model.use_memory = True
 
         def outputs():
             return [

@@ -7,9 +7,11 @@ from protobank.declarations import CountryDataset, SplitSpec, split
 from protobank.encoder import EncoderConfig, embed_matrix, score_records
 from protobank.errors import DataError
 from protobank.numerics import Tensor
+from protobank import numerics as nm
 from protobank.pretrain import (
     PretrainConfig,
     curve_to_csv,
+    fit,
     pretrain,
     scl_loss,
     select_fraud_like,
@@ -193,9 +195,62 @@ class TestPretrain:
 
     def test_curve_csv_shape(self):
         curve = [{"epoch": 0, "scl_loss": 1.0, "cls_loss": 0.5, "valid_revenue": 0.25}]
-        text = curve_to_csv(curve)
+        text = curve_to_csv(curve, ("epoch", "scl_loss", "cls_loss", "valid_revenue"))
         assert text.splitlines()[0] == "epoch,scl_loss,cls_loss,valid_revenue"
         assert "0,1.0,0.5,0.25" in text
+
+    def test_curve_rows_carry_metric_and_revenue(self):
+        parts = split(separable_dataset(), SplitSpec(15, 10))
+        _, curve = pretrain(parts["train"], parts["valid"], FAST)
+        assert len(curve) == FAST.epochs
+        for row in curve:
+            assert set(row) == {"epoch", "scl_loss", "cls_loss", "valid_metric", "valid_revenue"}
+            assert row["valid_revenue"] == row["valid_metric"] or math.isnan(row["valid_revenue"])
+
+
+class _Scalar:
+    """A one-tensor model for driving `fit` directly."""
+
+    def __init__(self, value):
+        self.tensors = {"w": Tensor(np.array([value]), requires_grad=True)}
+
+    def copy(self):
+        return _Scalar(self.tensors["w"].data[0])
+
+
+class TestFit:
+    def _run(self, valid, scores):
+        model = _Scalar(1.0)
+        seen = []
+
+        def batch_loss(idx):
+            seen.append(model.tensors["w"].data[0])
+            w = model.tensors["w"]
+            return nm.reduce_sum(nm.mul(w, w)), {"sq": 1.0}
+
+        cfg = PretrainConfig(epochs=3, batch_size=4)
+        y = np.array([0, 1] * 4)
+        best, curve = fit(model, model.tensors, scores, valid, y, batch_loss, cfg,
+                          np.random.default_rng(0))
+        return best, curve, seen
+
+    def test_tie_keeps_earlier_epoch(self):
+        parts = split(separable_dataset(), SplitSpec(15, 10))
+        constant = lambda m, records: np.full(len(records), 0.5)  # noqa: E731
+        best, curve, seen = self._run(parts["valid"], constant)
+        assert [r["epoch"] for r in curve] == [0, 1, 2]
+        assert len({r["valid_metric"] for r in curve}) == 1
+        assert len(seen) == 6  # two batches per epoch
+        assert best.tensors["w"].data[0] == seen[2]  # the weight after epoch 0
+        assert all(r["sq"] == 1.0 for r in curve)  # batch-weighted mean of each part
+
+    def test_empty_validation_split_keeps_initial_model(self):
+        parts = split(separable_dataset(), SplitSpec(15, 10))
+        empty = parts["valid"].subset(lambda r: False)
+        best, curve, _ = self._run(empty, lambda m, records: np.zeros(0))
+        assert best.tensors["w"].data[0] == 1.0
+        assert all(r["valid_metric"] == -np.inf for r in curve)
+        assert all(math.isnan(r["valid_revenue"]) for r in curve)
 
 
 def _silhouette(h: np.ndarray, labels: np.ndarray) -> float:
