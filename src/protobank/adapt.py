@@ -36,7 +36,7 @@ from .encoder import (
 from .encoder import score_records as encoder_scores
 from .errors import DataError, FormatError, ShapeError
 from .numerics import Tensor
-from .pretrain import fit, labeled_targets
+from .pretrain import check_schedule, fit, labeled_targets
 
 
 def _adapt_specs(d: int) -> dict[str, tuple]:
@@ -64,10 +64,7 @@ class FinetuneConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
     def validate(self) -> None:
-        if self.epochs < 0:
-            raise DataError("epochs must be nonnegative")
-        if self.batch_size < 1:
-            raise DataError("batch_size must be positive")
+        check_schedule(self, min_batch=1)
 
 
 @dataclass

@@ -54,13 +54,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
     env = os.environ.get("PROTOBANK_SEED", "0")
     try:
-        return int(env)
+        value = int(env) if value is None else value
     except ValueError:
         raise UsageError(f"PROTOBANK_SEED={env!r} is not an integer") from None
+    if value < 0:
+        raise UsageError(f"seed {value} is negative")
+    return value
 
 
 def _echo_config(name: str, args: argparse.Namespace) -> None:

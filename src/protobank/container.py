@@ -42,7 +42,8 @@ MAGIC_PARAMS = b"PROTOPRM"
 class PrototypeSet:
     """Per-class centroid matrices contributed by one source country.
 
-    Checked when constructed: a nonempty source_id; each matrix (n >= 1, dim >= 1), finite.
+    Checked when constructed: a nonempty source_id; each matrix (n >= 1, dim >= 1), finite;
+    a created_at stamp that fits the container's unsigned 64-bit field.
     """
 
     source_id: str
@@ -57,6 +58,8 @@ class PrototypeSet:
             raise DataError("prototype set needs a nonempty source_id")
         if self.dim < 1:
             raise DataError("prototype dimension must be positive")
+        if not 0 <= self.created_at < 2**64:
+            raise DataError(f"created_at {self.created_at} is outside [0, 2**64)")
         for name in ("fraud_prototypes", "nonfraud_prototypes"):
             m = getattr(self, name)
             if m.ndim != 2 or m.shape[1] != self.dim:

@@ -404,6 +404,10 @@ class SplitSpec:
     test_window_days: int = 30
     valid_window_days: int = 14
 
+    def __post_init__(self) -> None:
+        if min(self.test_window_days, self.valid_window_days) < 1:
+            raise DataError(f"split windows must be at least 1 day, got {self}")
+
 
 def split(ds: CountryDataset, spec: SplitSpec) -> dict[str, CountryDataset]:
     """Chronological partition into train, valid and test windows."""

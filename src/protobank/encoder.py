@@ -24,7 +24,7 @@ import numpy as np
 from . import numerics as nm
 from .container import read_envelope, write_envelope
 from .declarations import CountryDataset, ImportDeclaration
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, NumericError
 from .numerics import Tensor
 
 FEATURE_NAMES = (
@@ -42,6 +42,11 @@ class EncoderConfig:
     d: int = 32  # fused representation width
     n_kernels: int = 8
     use_interaction: bool = True  # outer-product path; False = plain [p, q] concat
+
+    def __post_init__(self) -> None:
+        widths_ok = all(type(w) is int and w >= 1 for w in (self.k, self.d, self.n_kernels))
+        if not widths_ok or type(self.use_interaction) is not bool:
+            raise DataError(f"invalid {self}: widths must be integers >= 1, the flag a bool")
 
 
 @dataclass(frozen=True)
@@ -224,13 +229,17 @@ def forward_rows(params: EncoderParams, records, forward, width: int) -> np.ndar
 
     The one scoring loop: records go through `batch_inputs` and `forward` in
     SCORE_CHUNK-record slices under `no_grad`, and the slices' outputs are
-    stacked into an (n, width) array.
+    stacked into an (n, width) array. NumericError if a row is not finite: ops
+    do not scan their outputs, and scores and embeddings leave the model here.
     """
     out = []
     with nm.no_grad():
         for lo in range(0, len(records), SCORE_CHUNK):
             out.append(forward(*batch_inputs(params, records[lo : lo + SCORE_CHUNK])).data)
-    return np.vstack(out) if out else np.zeros((0, width))
+    rows = np.vstack(out) if out else np.zeros((0, width))
+    if not np.all(np.isfinite(rows)):
+        raise NumericError("non-finite model output")
+    return rows
 
 
 def embed_matrix(params: EncoderParams, records) -> np.ndarray:
@@ -273,8 +282,8 @@ def _vocab_from_list(names) -> dict[str, int]:
 
 
 def encoder_from_meta(meta: dict, tensors: dict[str, np.ndarray]) -> EncoderParams:
-    """The encoder a bundle describes; FormatError unless its tensors are exactly
-    the ones `EncoderParams.init` makes for its config and vocabularies."""
+    """The encoder a bundle describes; DataError unless its config is valid and
+    its tensors are exactly the ones `EncoderParams.init` makes for it."""
     try:
         cfg = EncoderConfig(**meta["config"])
         hs6_vocab = _vocab_from_list(meta["hs6_vocab"])
@@ -283,9 +292,6 @@ def encoder_from_meta(meta: dict, tensors: dict[str, np.ndarray]) -> EncoderPara
         std = np.asarray(meta["feature_std"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"malformed encoder metadata: {e!r}") from None
-    widths = (cfg.k, cfg.d, cfg.n_kernels)
-    if not all(type(w) is int and w >= 1 for w in widths) or type(cfg.use_interaction) is not bool:
-        raise FormatError(f"invalid encoder config {meta['config']}")
     if not (mean.shape == std.shape == (len(FEATURE_NAMES),) and np.isfinite(mean).all()
             and np.isfinite(std).all() and (std > 0).all()):
         raise FormatError("feature statistics must be 5 finite means and 5 positive stdevs")

@@ -2,9 +2,11 @@
 
 Small tape-based engine in the micrograd style, but over numpy arrays:
 each op returns a new Tensor that remembers its parents and a closure
-computing the local vector-Jacobian product. Every op validates that its
-output is finite; a NaN/Inf anywhere raises NumericError instead of
-silently propagating through a training step.
+computing the local vector-Jacobian product. Ops do not scan their
+outputs: finiteness is checked where values enter (a Tensor built from
+data, `exp`, `log`) and where they are committed or leave (`opt_step`, the
+loss in `pretrain.fit`, `encoder.forward_rows`), so a NaN/Inf raises
+NumericError instead of silently propagating through a training step.
 
 Whether an op records its place in the graph is decided here and only
 here: inside `no_grad()` the calling thread's ops build no graph, whatever
@@ -27,20 +29,15 @@ from .errors import NumericError, ShapeError
 Array = np.ndarray
 
 
-def _as_f64(data) -> Array:
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite values in tensor data")
-    return arr
-
-
 class Tensor:
     """A float64 array plus an optional position in the computation graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
+        if not np.all(np.isfinite(self.data)):
+            raise NumericError("non-finite values in tensor data")
         self.grad: Array | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -90,21 +87,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -134,10 +116,11 @@ def grad_enabled() -> bool:
 
 
 def _node(data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    out = Tensor(data)
+    out = Tensor.__new__(Tensor)  # an op's output skips __init__'s finiteness scan
+    out.data = np.asarray(data, dtype=np.float64)  # a full reduction returns a numpy scalar
+    out.grad, out.requires_grad, out._parents, out._vjp = None, False, (), None
     if _grad_mode.enabled and any(p.requires_grad or p._vjp is not None for p in parents):
-        out._parents = parents
-        out._vjp = vjp
+        out._parents, out._vjp = parents, vjp
     return out
 
 
@@ -225,12 +208,6 @@ def outer(u, v) -> Tensor:
     )
 
 
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
-    out = a.data.reshape(shape)
-    return _node(out.copy(), (a,), lambda g: (g.reshape(a.shape),))
-
-
 def relu(a) -> Tensor:
     a = _wrap(a)
     mask = a.data > 0
@@ -288,9 +265,7 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
@@ -305,9 +280,7 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     )
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / denom, a.shape).copy(),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / denom, a.shape).copy(),)
 
@@ -445,7 +418,7 @@ def bce(pred, label) -> Tensor:
         gy = g * (np.log(1.0 - p) - np.log(p)) / n
         return (gp, gy)
 
-    return _node(np.asarray(out), (pred, label), vjp)
+    return _node(out, (pred, label), vjp)
 
 
 # ---------------------------------------------------------------------------

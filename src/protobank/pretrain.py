@@ -25,8 +25,20 @@ from .encoder import (
     score_records,
     standardize_stats,
 )
-from .errors import DataError, MetricError
+from .errors import DataError, MetricError, NumericError
 from .numerics import OptimizerState, Tensor
+
+
+def check_schedule(cfg, min_batch: int) -> None:
+    """The training schedule both stages' configs share (NaN fails every bound)."""
+    if cfg.epochs < 0:
+        raise DataError("epochs must be nonnegative")
+    if cfg.batch_size < min_batch:
+        raise DataError(f"batch_size must be at least {min_batch}")
+    if not 0 < cfg.learning_rate < np.inf:
+        raise DataError(f"learning_rate must be finite and positive, got {cfg.learning_rate}")
+    if not 0 <= cfg.weight_decay < np.inf:
+        raise DataError(f"weight_decay must be finite and nonnegative, got {cfg.weight_decay}")
 
 
 def _check_tau(tau: float) -> None:
@@ -50,10 +62,7 @@ class PretrainConfig:
 
     def validate(self) -> None:
         _check_tau(self.tau)
-        if self.batch_size < 2:
-            raise DataError("batch_size must be at least 2")
-        if self.epochs < 0:
-            raise DataError("epochs must be nonnegative")
+        check_schedule(self, min_batch=2)
 
 
 def scl_loss(h: Tensor, labels: np.ndarray, tau: float) -> Tensor:
@@ -146,6 +155,8 @@ def fit(model, tensors: dict[str, Tensor], score, valid: CountryDataset, y, batc
         sums: dict[str, float] = {}
         for idx in stratified_batches(y, cfg.batch_size, rng):
             loss, parts = batch_loss(idx)
+            if not np.isfinite(loss.data):  # ops do not scan their outputs
+                raise NumericError(f"non-finite training loss in epoch {epoch}")
             nm.zero_grads(tensors)
             loss.backward()
             nm.opt_step(tensors, opt)

@@ -21,11 +21,11 @@ from protobank.bank import assemble
 from protobank.container import PrototypeSet
 from protobank.declarations import SplitSpec, split
 from protobank.encoder import EncoderConfig, batch_inputs, save_encoder
-from protobank.errors import DataError, ShapeError
+from protobank.errors import DataError, NumericError, ShapeError
 from protobank.numerics import Tensor, grad_check
 from tests.test_declarations import make_dataset
 from tests.test_encoder import small_params
-from tests.test_pretrain import separable_dataset
+from tests.test_pretrain import nan_after, separable_dataset
 
 SMALL_FT = FinetuneConfig(
     epochs=3, batch_size=32, seed=0, encoder=EncoderConfig(k=4, d=8, n_kernels=2)
@@ -130,10 +130,10 @@ class TestCalibrate:
         probe = Tensor(rng.normal(size=(4, 6)))
 
         def f(t):
-            h_bar, _ = calibrate(params, nm.reshape(t, (4, 6)), h_ts)
+            h_bar, _ = calibrate(params, t, h_ts)
             return nm.reduce_sum(nm.mul(h_bar, probe))
 
-        assert grad_check(f, Tensor(rng.normal(size=24)), eps=1e-5) <= 1e-5
+        assert grad_check(f, Tensor(rng.normal(size=(4, 6))), eps=1e-5) <= 1e-5
 
 
 class TestRefine:
@@ -239,6 +239,23 @@ class TestFinetune:
         model.bank_matrix = None
         without = score_records(model, parts["test"].records)
         assert not np.allclose(with_bank, without)
+
+    @pytest.mark.parametrize("op", ["tanh", "softmax", "sigmoid"])
+    def test_nan_op_stops_finetuning_before_a_step(self, monkeypatch, op):
+        parts = self._parts()
+        seen = nan_after(monkeypatch, op, 3)
+        with pytest.raises(NumericError):
+            finetune(parts["train"], parts["valid"], small_bank(dim=8), None, SMALL_FT)
+        assert seen["nan"] and seen["steps"] >= 1
+        assert seen["steps_after_nan"] == 0
+
+    @pytest.mark.parametrize("op", ["tanh", "softmax", "matmul"])
+    def test_nan_op_under_scoring_raises(self, monkeypatch, op):
+        parts = self._parts()
+        model, _ = finetune(parts["train"], parts["valid"], small_bank(dim=8), None, SMALL_FT)
+        nan_after(monkeypatch, op, 0)
+        with pytest.raises(NumericError, match="non-finite model output"):
+            score_records(model, parts["test"].records)
 
 
 class TestAkc:

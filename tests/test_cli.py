@@ -1,3 +1,4 @@
+import os
 import struct
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+import protobank
 from protobank.bank import BankClient
 from protobank.cli import UsageError, _parse_address, main, parse_world_config
 from protobank.container import (
@@ -18,6 +20,7 @@ from protobank.container import (
     write_envelope,
 )
 from protobank.errors import DataError
+from tests.test_pretrain import nan_after
 
 WORLD_CFG = """
 seed=5
@@ -333,6 +336,63 @@ class TestExitCodes:
                      "--out", str(out), "--epochs", "1", "--tau", tau]) == 2
         assert "tau must be at least 0.01" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, env_seed, code",
+        [
+            ("pretrain", ["--seed", "-5"], None, 1),
+            ("pretrain", [], "-3", 1),
+            ("export-bank", ["--seed", "-5"], None, 1),
+            ("export-bank", ["--stamp", "-1"], None, 2),
+            ("finetune", ["--seed", "-5"], None, 1),
+            ("pretrain", ["--lr", "nan"], None, 2),
+            ("pretrain", ["--weight-decay", "inf"], None, 2),
+            ("finetune", ["--lr", "-1"], None, 2),
+            ("finetune", ["--weight-decay", "-0.5"], None, 2),
+            ("pretrain", ["--test-days", "-5"], None, 2),
+            ("finetune", ["--valid-days", "0"], None, 2),
+        ],
+        ids=[
+            "pretrain-seed", "env-seed", "export-seed", "export-stamp", "finetune-seed",
+            "pretrain-lr-nan", "pretrain-decay-inf", "finetune-lr-negative",
+            "finetune-decay-negative", "pretrain-test-days", "finetune-valid-days",
+        ],
+    )
+    def test_out_of_range_value_exits_without_traceback(
+        self, world_dir, pretrained, tmp_path, command, flags, env_seed, code
+    ):
+        data = world_dir / "data"
+        base = {
+            "pretrain": ["--data", str(data / "AA.csv"), "--country", "AA", "--epochs", "1"],
+            "export-bank": ["--model", str(pretrained), "--data", str(data / "AA.csv"),
+                            "--country", "AA", "--per-class", "5", "--fraction", "0.15"],
+            "finetune": ["--data", str(data / "BB.csv"), "--country", "BB", "--epochs", "1",
+                         "--label-fraction", "0.05"],
+        }[command]
+        env = {k: v for k, v in os.environ.items() if k != "PROTOBANK_SEED"}
+        src = os.path.dirname(os.path.dirname(protobank.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if env_seed is not None:
+            env["PROTOBANK_SEED"] = env_seed
+        out = tmp_path / "out.bin"
+        proc = subprocess.run(
+            [sys.executable, "-m", "protobank.cli", command, *base, *flags, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert ("usage error" if code == 1 else "data error") in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("adapt", [False, True], ids=["encoder", "adapt"])
+    def test_non_finite_scores_are_numeric_abort(
+        self, world_dir, pretrained, finetuned, monkeypatch, capsys, adapt
+    ):
+        nan_after(monkeypatch, "sigmoid", 0)  # ops do not scan their outputs
+        data = world_dir / "data" / "BB.csv"
+        model = finetuned if adapt else pretrained
+        assert main(["eval", "--model", str(model), "--data", str(data), "--country", "BB"]) == 3
+        assert "numeric abort: non-finite model output" in capsys.readouterr().err
 
 
 class TestSeedEnvFallback:

@@ -89,6 +89,16 @@ class TestPrototypeContainers:
         with pytest.raises(DataError):
             PrototypeSet("A", 3, np.ones((1, 2)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("stamp", [-1, 2**64])
+    def test_created_at_outside_u64_rejected(self, stamp):
+        with pytest.raises(DataError, match="created_at"):
+            PrototypeSet("A", 2, np.ones((1, 2)), np.ones((1, 2)), stamp)
+
+    def test_created_at_edges_round_trip(self):
+        for stamp in (0, 2**64 - 1):
+            ps = PrototypeSet("A", 2, np.ones((1, 2)), np.ones((1, 2)), stamp)
+            assert deserialize(serialize(ps)).created_at == stamp
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         st.integers(1, 5),

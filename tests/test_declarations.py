@@ -234,6 +234,15 @@ class TestSplit:
         with pytest.raises(DataError):
             split(ds, SplitSpec(30, 14))
 
+    @pytest.mark.parametrize("windows", [(0, 14), (30, 0), (-5, 14), (30, -1)])
+    def test_windows_below_one_day_rejected(self, windows):
+        with pytest.raises(DataError, match="at least 1 day"):
+            SplitSpec(*windows)
+
+    def test_one_day_windows_accepted(self):
+        parts = split(self._spread(10), SplitSpec(1, 1))
+        assert len(parts["test"]) > 0 and len(parts["valid"]) > 0
+
     def test_deterministic(self):
         ds = self._spread(90)
         a = split(ds, SplitSpec())

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from protobank.adapt import FinetuneConfig
 from protobank.declarations import CountryDataset, SplitSpec, split
 from protobank.encoder import EncoderConfig, embed_matrix, score_records
-from protobank.errors import DataError
+from protobank.errors import DataError, NumericError
 from protobank.numerics import Tensor
 from protobank import numerics as nm
 from protobank.pretrain import (
@@ -84,13 +86,12 @@ class TestSclLoss:
             assert scl_loss(Tensor(h), y, 0.07).item() >= 0.0
 
     def test_gradient_matches_finite_differences(self):
-        from protobank import numerics as nm
         from protobank.numerics import grad_check
 
         rng = np.random.default_rng(3)
         h = rng.normal(size=(8, 5))
         y = rng.integers(0, 2, 8)
-        err = grad_check(lambda t: scl_loss(nm.reshape(t, (8, 5)), y, 0.07), Tensor(h.ravel()), eps=1e-5)
+        err = grad_check(lambda t: scl_loss(t, y, 0.07), Tensor(h), eps=1e-5)
         assert err <= 1e-5
 
     def test_tau_ordering_of_gradient_norms(self):
@@ -125,6 +126,90 @@ class TestSclLoss:
             scl_loss(Tensor(np.ones((1, 3))), np.array([0]), 0.07)
         with pytest.raises(DataError):
             scl_loss(Tensor(np.ones((2, 3))), np.array([0, 1]), 0.0)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("weight_decay", float("nan")),
+            ("weight_decay", float("inf")),
+            ("weight_decay", -0.01),
+        ],
+    )
+    def test_bad_step_sizes_rejected(self, name, value):
+        for cls in (PretrainConfig, FinetuneConfig):
+            with pytest.raises(DataError, match=name):
+                cls(**{name: value}).validate()
+
+    def test_zero_weight_decay_accepted(self):
+        PretrainConfig(weight_decay=0.0).validate()
+        FinetuneConfig(weight_decay=0.0).validate()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"d": 0}, {"n_kernels": 0}, {"k": -1}, {"k": 4.0}, {"d": True}, {"use_interaction": 1}],
+    )
+    def test_bad_encoder_config_rejected(self, fields):
+        with pytest.raises(DataError, match="invalid EncoderConfig"):
+            EncoderConfig(**fields)
+
+
+def nan_after(monkeypatch, op: str, calls: int) -> dict:
+    """Make numerics op `op` put a NaN in its output from call `calls` + 1 on.
+
+    Also counts `opt_step` calls in the returned dict: `steps` in all and
+    `steps_after_nan` once a NaN has been emitted.
+    """
+    seen = {"calls": 0, "nan": False, "steps": 0, "steps_after_nan": 0}
+    orig_op, orig_step = getattr(nm, op), nm.opt_step
+
+    def bad_op(*args, **kwargs):
+        out = orig_op(*args, **kwargs)
+        seen["calls"] += 1
+        if seen["calls"] > calls:
+            out.data.flat[0] = np.nan
+            seen["nan"] = True
+        return out
+
+    def counted_step(*args):
+        seen["steps"] += 1
+        seen["steps_after_nan"] += seen["nan"]
+        return orig_step(*args)
+
+    monkeypatch.setattr(nm, op, bad_op)
+    monkeypatch.setattr(nm, "opt_step", counted_step)
+    return seen
+
+
+class TestFiniteBoundaries:
+    """Ops do not scan their outputs; a NaN an op emits must still stop training
+    before the next optimizer step, and must not leave the model as a score."""
+
+    @pytest.mark.parametrize("scl_weight", [1.0, 0.0], ids=["scl", "no-scl"])
+    def test_nan_op_stops_pretraining_before_a_step(self, monkeypatch, scl_weight):
+        parts = split(separable_dataset(), SplitSpec(15, 10))
+        seen = nan_after(monkeypatch, "tanh", 3)
+        with pytest.raises(NumericError):
+            pretrain(parts["train"], parts["valid"], dataclasses.replace(FAST, scl_weight=scl_weight))
+        assert seen["nan"] and seen["steps"] == 3
+        assert seen["steps_after_nan"] == 0
+
+    @pytest.mark.parametrize("op", ["tanh", "conv2d", "relu", "sigmoid"])
+    def test_nan_op_under_scoring_raises(self, monkeypatch, op):
+        parts = split(separable_dataset(), SplitSpec(15, 10))
+        params, _ = pretrain(parts["train"], parts["valid"], FAST)
+        records = parts["test"].records
+        nan_after(monkeypatch, op, 0)
+        with pytest.raises(NumericError, match="non-finite model output"):
+            score_records(params, records)
+        if op != "sigmoid":  # the fraud head is not part of the embedding
+            with pytest.raises(NumericError, match="non-finite model output"):
+                embed_matrix(params, records)
 
 
 class TestStratifiedBatches:
