@@ -63,8 +63,11 @@ class FinetuneConfig:
     seed: int = 0
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_schedule(self, min_batch=1)
+        for name in ("init_from_source", "use_memory", "use_calibration"):
+            if type(getattr(self, name)) is not bool:
+                raise DataError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -193,7 +196,6 @@ def finetune(
     `extra_loss(params) -> Tensor` is an optional additive objective hook
     (the consistency penalty of the adaptive-transfer baseline uses it).
     """
-    cfg.validate()
     labeled, y = labeled_targets(target_train, "fine-tuning")
     rng = np.random.default_rng(cfg.seed)
     params = _init_model(target_train, source_params, cfg, rng)

@@ -116,7 +116,7 @@ def parse_world_config(text: str) -> SyntheticWorldConfig:
             )
             for cid, fields in per_country.items()
         )
-        cfg = SyntheticWorldConfig(
+        return SyntheticWorldConfig(
             seed=int(top.get("seed", "0")),
             countries=countries,
             n_hs6=int(top.get("n_hs6", "40")),
@@ -127,8 +127,6 @@ def parse_world_config(text: str) -> SyntheticWorldConfig:
         raise DataError(f"world config missing country field {e}") from None
     except ValueError as e:
         raise DataError(f"world config value error: {e}") from None
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +153,6 @@ def _split_flags(parser: _Parser) -> None:
 
 
 def _cmd_pretrain(args) -> int:
-    ds = load_csv(args.data, country_id=args.country or str(args.data))
-    parts = split(ds, SplitSpec(args.test_days, args.valid_days))
     cfg = PretrainConfig(
         tau=args.tau,
         epochs=args.epochs,
@@ -165,6 +161,8 @@ def _cmd_pretrain(args) -> int:
         weight_decay=args.weight_decay,
         seed=_resolve_seed(args.seed),
     )
+    spec = SplitSpec(args.test_days, args.valid_days)
+    parts = split(load_csv(args.data, country_id=args.country or str(args.data)), spec)
     params, curve = pretrain(parts["train"], parts["valid"], cfg)
     Path(args.out).write_bytes(save_encoder(params))
     if args.curve:
@@ -226,21 +224,20 @@ def _load_bank(path) -> MemoryBank:
 
 
 def _cmd_finetune(args) -> int:
-    ds = load_csv(args.data, country_id=args.country or str(args.data))
-    parts = split(ds, SplitSpec(args.test_days, args.valid_days))
-    seed = _resolve_seed(args.seed)
-    train = mask_labels(parts["train"], args.label_fraction, seed)
-    bank = _load_bank(args.bank) if args.bank else None
-    source = load_encoder(Path(args.init_from).read_bytes()) if args.init_from else None
     cfg = FinetuneConfig(
         epochs=args.epochs,
         batch_size=args.batch,
         learning_rate=args.lr,
         weight_decay=args.weight_decay,
-        init_from_source=source is not None,
-        use_memory=bank is not None,
-        seed=seed,
+        init_from_source=bool(args.init_from),
+        use_memory=bool(args.bank),
+        seed=_resolve_seed(args.seed),
     )
+    spec = SplitSpec(args.test_days, args.valid_days)
+    parts = split(load_csv(args.data, country_id=args.country or str(args.data)), spec)
+    train = mask_labels(parts["train"], args.label_fraction, cfg.seed)
+    bank = _load_bank(args.bank) if args.bank else None
+    source = load_encoder(Path(args.init_from).read_bytes()) if args.init_from else None
     params, curve = finetune(train, parts["valid"], bank, source, cfg)
     Path(args.out).write_bytes(save_adapt(params))
     if args.curve:

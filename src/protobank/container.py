@@ -51,7 +51,6 @@ class PrototypeSet:
     fraud_prototypes: np.ndarray
     nonfraud_prototypes: np.ndarray
     created_at: int = 0
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
         if not self.source_id:
@@ -83,7 +82,6 @@ class PrototypeSet:
             and self.source_id == other.source_id
             and self.dim == other.dim
             and self.created_at == other.created_at
-            and self.format_version == other.format_version
             and np.array_equal(self.fraud_prototypes, other.fraud_prototypes)
             and np.array_equal(self.nonfraud_prototypes, other.nonfraud_prototypes)
         )

@@ -91,7 +91,7 @@ class ImportDeclaration:
 
 @dataclass(frozen=True)
 class CountryDataset:
-    """Sorted, validated records for one country; treat as immutable."""
+    """Sorted, checked records for one country; treat as immutable."""
 
     country_id: str
     records: tuple[ImportDeclaration, ...]
@@ -229,6 +229,13 @@ def write_csv(ds: CountryDataset, path) -> None:
 # synthetic world generation
 
 
+def check_int(name: str, value, low: int, high: float = math.inf) -> None:
+    """DataError unless `value` is an int (a bool is not) in [low, high]."""
+    if not (type(value) is int and low <= value <= high):
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise DataError(f"{name} must be an integer {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CountrySpec:
     country_id: str
@@ -250,36 +257,28 @@ class SyntheticWorldConfig:
     n_shared_patterns: int = 2
     pattern_strength: float = 0.8
 
-    def validate(self) -> None:
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
+    def __post_init__(self) -> None:
+        check_int("seed", self.seed, 0)
         if not self.countries:
             raise DataError("world config needs at least one country")
         ids = [c.country_id for c in self.countries]
         if len(set(ids)) != len(ids):
             raise DataError("duplicate country ids in world config")
+        last_day = _END_ANCHOR.toordinal()
         for c in self.countries:
-            if c.n_records < 1000:
-                raise DataError(f"{c.country_id}: n_records must be >= 1000")
+            check_int(f"{c.country_id}: n_records", c.n_records, 1000)
             if not 0 < c.base_illicit_rate < 0.5:
                 raise DataError(f"{c.country_id}: base_illicit_rate must be in (0, 0.5)")
-            if not 60 <= c.duration_days <= _END_ANCHOR.toordinal():
-                raise DataError(
-                    f"{c.country_id}: duration_days must be in [60, {_END_ANCHOR.toordinal()}]"
-                )
+            check_int(f"{c.country_id}: duration_days", c.duration_days, 60, last_day)
             if not c.fraud_pattern_ids:
                 raise DataError(f"{c.country_id}: needs at least one fraud pattern id")
-            if any(not 0 <= p <= _MAX_PATTERN_ID for p in c.fraud_pattern_ids):
-                raise DataError(
-                    f"{c.country_id}: fraud pattern ids must be in [0, {_MAX_PATTERN_ID}]"
-                )
-        if not 10 <= self.n_hs6 <= _N_HS6_CODES:
-            raise DataError(f"n_hs6 must be in [10, {_N_HS6_CODES}]")
+            for p in c.fraud_pattern_ids:
+                check_int(f"{c.country_id}: fraud pattern id", p, 0, _MAX_PATTERN_ID)
+        check_int("n_hs6", self.n_hs6, 10, _N_HS6_CODES)
         if not 0 < self.pattern_strength <= 1:
             raise DataError("pattern_strength must be in (0, 1]")
         n_patterns = 1 + max(max(c.fraud_pattern_ids) for c in self.countries)
-        if not 0 <= self.n_shared_patterns <= n_patterns:
-            raise DataError("n_shared_patterns out of range")
+        check_int("n_shared_patterns", self.n_shared_patterns, 0, n_patterns)
 
 
 _END_ANCHOR = Date(2024, 6, 30)
@@ -385,7 +384,6 @@ def _generate_country(
 
 def generate_world(cfg: SyntheticWorldConfig) -> dict[str, CountryDataset]:
     """Deterministically generate one dataset per configured country."""
-    cfg.validate()
     seq = np.random.SeedSequence(cfg.seed)
     children = seq.spawn(1 + len(cfg.countries))
     tables = _world_tables(cfg, np.random.default_rng(children[0]))
@@ -405,8 +403,9 @@ class SplitSpec:
     valid_window_days: int = 14
 
     def __post_init__(self) -> None:
-        if min(self.test_window_days, self.valid_window_days) < 1:
-            raise DataError(f"split windows must be at least 1 day, got {self}")
+        windows = (self.test_window_days, self.valid_window_days)
+        if not all(type(w) is int and w >= 1 for w in windows):
+            raise DataError(f"split windows must be integers of at least 1 day, got {self}")
 
 
 def split(ds: CountryDataset, spec: SplitSpec) -> dict[str, CountryDataset]:

@@ -201,10 +201,11 @@ def embed_batch(
         else:
             # Without a graph nothing keeps the (N, c, k, k) maps alive, so they
             # are built a block of records at a time; every pooled row is the
-            # same bits as in one pass over the batch.
-            blocks = [slice(lo, lo + _INTERACTION_BLOCK) for lo in range(0, n, _INTERACTION_BLOCK)]
+            # same bits as in one pass over the batch. Block rows are taken with an
+            # op, which does not rescan them: `forward_rows` checks the output.
+            blocks = np.array_split(np.arange(n), range(_INTERACTION_BLOCK, n, _INTERACTION_BLOCK))
             pooled = nm.concat(
-                [_pooled_interaction(t, Tensor(p.data[s]), Tensor(q.data[s])) for s in blocks]
+                [_pooled_interaction(t, nm.gather_rows(p, b), nm.gather_rows(q, b)) for b in blocks]
             )
         g = nm.add(nm.matmul(pooled, t["w_pool"]), t["b_pool"])
         z = nm.concat([p, g], axis=1)

@@ -30,6 +30,7 @@ from .declarations import (
     CountrySpec,
     SplitSpec,
     SyntheticWorldConfig,
+    check_int,
     mask_labels,
     split,
 )
@@ -87,23 +88,21 @@ class ScenarioConfig:
     inspection_rate: float = 0.05
     variant: str | None = None  # ablation component to drop
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
             raise DataError(f"unknown scenario kind {self.kind!r}")
-        if not self.seeds:
-            raise DataError("scenario needs at least one seed")
+        if type(self.seeds) is not tuple or not self.seeds:
+            raise DataError(f"seeds must be a nonempty tuple, got {self.seeds!r}")
+        for seed in self.seeds:
+            check_int("seeds entry", seed, 0)
         if not 0 < self.inspection_rate <= 1:
             raise DataError("inspection_rate out of (0, 1]")
         if not 0 < self.label_fraction <= 1:
             raise DataError("label_fraction out of (0, 1]")
-        if self.per_class < 1:
-            raise DataError("per_class must be positive")
-        needs_source = self.kind not in ("target_only",)
-        if needs_source and not self.source_ids:
+        check_int("per_class", self.per_class, 1)
+        if self.kind != "target_only" and not self.source_ids:
             raise DataError(f"{self.kind} needs at least one source country")
-        if self.kind == "proto_single" and len(self.source_ids) != 1:
-            raise DataError("proto_single takes exactly one source")
-        if self.kind in ("vanilla", "akc") and len(self.source_ids) != 1:
+        if self.kind in ("proto_single", "vanilla", "akc") and len(self.source_ids) != 1:
             raise DataError(f"{self.kind} takes exactly one source")
         if self.kind == "ablation" and self.variant not in ABLATION_VARIANTS:
             raise DataError(f"ablation variant must be one of {ABLATION_VARIANTS}")
@@ -260,7 +259,6 @@ class ScenarioRunner:
         return revenue_at_k(scores, test, cfg.inspection_rate)
 
     def run(self, cfg: ScenarioConfig) -> ScenarioReport:
-        cfg.validate()
         started = time.perf_counter()
         revenues = tuple(self._run_seed(cfg, s) for s in cfg.seeds)
         return ScenarioReport(

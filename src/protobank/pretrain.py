@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .declarations import CountryDataset
+from .declarations import CountryDataset, check_int
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -30,15 +30,16 @@ from .numerics import OptimizerState, Tensor
 
 
 def check_schedule(cfg, min_batch: int) -> None:
-    """The training schedule both stages' configs share (NaN fails every bound)."""
-    if cfg.epochs < 0:
-        raise DataError("epochs must be nonnegative")
-    if cfg.batch_size < min_batch:
-        raise DataError(f"batch_size must be at least {min_batch}")
+    """Checks the fields both stages' configs share (NaN fails every bound)."""
+    check_int("epochs", cfg.epochs, 0)
+    check_int("batch_size", cfg.batch_size, min_batch)
     if not 0 < cfg.learning_rate < np.inf:
         raise DataError(f"learning_rate must be finite and positive, got {cfg.learning_rate}")
     if not 0 <= cfg.weight_decay < np.inf:
         raise DataError(f"weight_decay must be finite and nonnegative, got {cfg.weight_decay}")
+    check_int("seed", cfg.seed, 0)
+    if type(cfg.encoder) is not EncoderConfig:
+        raise DataError(f"encoder must be an EncoderConfig, got {cfg.encoder!r}")
 
 
 def _check_tau(tau: float) -> None:
@@ -60,9 +61,12 @@ class PretrainConfig:
     seed: int = 0
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_tau(self.tau)
         check_schedule(self, min_batch=2)
+        for name in ("cls_weight", "scl_weight"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise DataError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
 
 
 def scl_loss(h: Tensor, labels: np.ndarray, tau: float) -> Tensor:
@@ -177,7 +181,6 @@ def pretrain(
     cfg: PretrainConfig,
 ) -> tuple[EncoderParams, list[dict]]:
     """Train the encoder on labeled source records; keep the best-validation epoch."""
-    cfg.validate()
     labeled, y = labeled_targets(ds_train, "pretraining")
     rng = np.random.default_rng(cfg.seed)
     params = EncoderParams.init(

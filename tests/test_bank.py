@@ -301,8 +301,7 @@ class TestExtractPrototypes:
         # container round-trip carries only the matrices and source metadata
         fields = set(vars(proto))
         assert fields == {
-            "source_id", "dim", "fraud_prototypes", "nonfraud_prototypes",
-            "created_at", "format_version",
+            "source_id", "dim", "fraud_prototypes", "nonfraud_prototypes", "created_at",
         }
 
     def test_order_invariance_via_dataset_normalization(self):

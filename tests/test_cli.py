@@ -384,6 +384,32 @@ class TestExitCodes:
         assert ("usage error" if code == 1 else "data error") in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, field",
+        [
+            ("pretrain", ["--lr", "nan"], "learning_rate"),
+            ("pretrain", ["--batch", "1"], "batch_size"),
+            ("pretrain", ["--epochs", "-1"], "epochs"),
+            ("finetune", ["--lr", "nan"], "learning_rate"),
+            ("finetune", ["--batch", "0"], "batch_size"),
+            ("finetune", ["--epochs", "-1"], "epochs"),
+        ],
+    )
+    def test_bad_flag_fails_before_reading_data(self, tmp_path, capsys, command, flags, field):
+        out = tmp_path / "m.pbm"
+        argv = [command, "--data", str(tmp_path / "missing.csv"), "--out", str(out), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {field}" in err and "No such file" not in err
+        assert not out.exists()
+
+    def test_experiment_without_seeds_is_data_error(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "reports"
+        assert main(["experiment", "--suite", "single", "--config", str(world_dir / "world.cfg"),
+                     "--seeds", "0", "--out", str(out)]) == 2
+        assert "data error: seeds must be a nonempty tuple" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("adapt", [False, True], ids=["encoder", "adapt"])
     def test_non_finite_scores_are_numeric_abort(
         self, world_dir, pretrained, finetuned, monkeypatch, capsys, adapt

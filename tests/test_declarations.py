@@ -234,7 +234,9 @@ class TestSplit:
         with pytest.raises(DataError):
             split(ds, SplitSpec(30, 14))
 
-    @pytest.mark.parametrize("windows", [(0, 14), (30, 0), (-5, 14), (30, -1)])
+    @pytest.mark.parametrize(
+        "windows", [(0, 14), (30, 0), (-5, 14), (30, -1), (float("nan"), 14), (30, 14.0)]
+    )
     def test_windows_below_one_day_rejected(self, windows):
         with pytest.raises(DataError, match="at least 1 day"):
             SplitSpec(*windows)
@@ -317,7 +319,7 @@ _CONFIG_FAULTS = [
 
 @st.composite
 def world_configs(draw):
-    """Small valid world configs, half of them with one value out of range."""
+    """Fields of small valid world configs, half of them with one value out of range."""
     specs = draw(
         st.lists(
             st.builds(
@@ -349,7 +351,7 @@ def world_configs(draw):
         else:
             i = draw(st.integers(0, len(specs) - 1))
             specs[i] = replace(specs[i], **{key: value})
-    return SyntheticWorldConfig(countries=tuple(specs), **top)
+    return tuple(specs), top
 
 
 class TestGenerateWorld:
@@ -389,13 +391,9 @@ class TestGenerateWorld:
 
     def test_invalid_config_rejected(self):
         with pytest.raises(DataError):
-            SyntheticWorldConfig(
-                seed=1, countries=(CountrySpec("AA", 10, 120, 0.05, (0,)),)
-            ).validate()
+            SyntheticWorldConfig(seed=1, countries=(CountrySpec("AA", 10, 120, 0.05, (0,)),))
         with pytest.raises(DataError):
-            SyntheticWorldConfig(
-                seed=1, countries=(CountrySpec("AA", 2000, 120, 0.7, (0,)),)
-            ).validate()
+            SyntheticWorldConfig(seed=1, countries=(CountrySpec("AA", 2000, 120, 0.7, (0,)),))
 
     @pytest.mark.parametrize(
         "change",
@@ -413,12 +411,11 @@ class TestGenerateWorld:
         top = {"seed": 1, "n_hs6": 20}
         for key, value in change.items():
             (top if key in top else spec)[key] = value
-        cfg = SyntheticWorldConfig(
-            top["seed"], (CountrySpec("AA", 1000, base_illicit_rate=0.05, **spec),),
-            n_hs6=top["n_hs6"], n_shared_patterns=0,
-        )
         with pytest.raises(DataError):
-            generate_world(cfg)
+            SyntheticWorldConfig(
+                top["seed"], (CountrySpec("AA", 1000, base_illicit_rate=0.05, **spec),),
+                n_hs6=top["n_hs6"], n_shared_patterns=0,
+            )
 
     def test_largest_accepted_values_generate(self):
         cfg = SyntheticWorldConfig(
@@ -436,8 +433,10 @@ class TestGenerateWorld:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(world_configs())
-    def test_bounded_configs_generate_or_raise_data_error(self, cfg):
+    def test_bounded_configs_generate_or_raise_data_error(self, fields):
+        countries, top = fields
         try:
+            cfg = SyntheticWorldConfig(countries=countries, **top)
             world = generate_world(cfg)
         except DataError:
             return

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -232,23 +233,23 @@ class TestScenarioRunner:
 class TestScenarioConfigValidation:
     def test_kind_checked(self):
         with pytest.raises(DataError):
-            ScenarioConfig("bogus", "A").validate()
+            ScenarioConfig("bogus", "A")
 
     def test_source_requirements(self):
         with pytest.raises(DataError):
-            ScenarioConfig("vanilla", "A").validate()
+            ScenarioConfig("vanilla", "A")
         with pytest.raises(DataError):
-            ScenarioConfig("proto_single", "A", ("B", "C")).validate()
+            ScenarioConfig("proto_single", "A", ("B", "C"))
 
     def test_ablation_variant_required(self):
         with pytest.raises(DataError):
-            ScenarioConfig("ablation", "A", ("B",)).validate()
-        ScenarioConfig("ablation", "A", ("B",), variant="scl").validate()
+            ScenarioConfig("ablation", "A", ("B",))
+        ScenarioConfig("ablation", "A", ("B",), variant="scl")
 
     def test_target_in_sources_only_for_proto_single(self):
-        ScenarioConfig("proto_single", "A", ("A",)).validate()
+        ScenarioConfig("proto_single", "A", ("A",))
         with pytest.raises(DataError):
-            ScenarioConfig("proto_multi", "A", ("A", "B")).validate()
+            ScenarioConfig("proto_multi", "A", ("A", "B"))
 
 
 class TestSuites:
@@ -267,7 +268,7 @@ class TestSuites:
         world = generate_world(default_world_config())
         for suite in ("single", "multi", "logsize", "ablation", "protocount", "randommem"):
             for cfg in suite_configs(suite, world, seeds=(0,)):
-                cfg.validate()
+                assert dataclasses.replace(cfg) == cfg  # rebuilt from its fields, checked again
 
     def test_protocount_axis(self):
         world = generate_world(default_world_config())

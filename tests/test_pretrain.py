@@ -112,10 +112,10 @@ class TestSclLoss:
         with pytest.raises(DataError, match="tau"):
             scl_loss(Tensor(np.eye(3)), np.array([0, 0, 1]), tau)
         with pytest.raises(DataError, match="tau"):
-            PretrainConfig(tau=tau).validate()
+            PretrainConfig(tau=tau)
 
     def test_tau_floor_accepted(self):
-        PretrainConfig(tau=0.01).validate()
+        PretrainConfig(tau=0.01)
         t = Tensor(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]]), requires_grad=True)
         loss = scl_loss(t, np.array([0, 0, 1]), 0.01)
         loss.backward()
@@ -144,11 +144,11 @@ class TestConfigChecks:
     def test_bad_step_sizes_rejected(self, name, value):
         for cls in (PretrainConfig, FinetuneConfig):
             with pytest.raises(DataError, match=name):
-                cls(**{name: value}).validate()
+                cls(**{name: value})
 
     def test_zero_weight_decay_accepted(self):
-        PretrainConfig(weight_decay=0.0).validate()
-        FinetuneConfig(weight_decay=0.0).validate()
+        PretrainConfig(weight_decay=0.0)
+        FinetuneConfig(weight_decay=0.0)
 
     @pytest.mark.parametrize(
         "fields",
@@ -210,6 +210,18 @@ class TestFiniteBoundaries:
         if op != "sigmoid":  # the fraud head is not part of the embedding
             with pytest.raises(NumericError, match="non-finite model output"):
                 embed_matrix(params, records)
+
+    @pytest.mark.parametrize("op", ["tanh", "conv2d", "relu"])
+    def test_nan_op_under_blocked_scoring_raises(self, monkeypatch, op):
+        # over 64 records, the interaction maps are built a block at a time
+        parts = split(separable_dataset(), SplitSpec(15, 10))
+        params, _ = pretrain(parts["train"], parts["valid"], FAST)
+        records = parts["train"].records
+        assert len(records) > 64
+        nan_after(monkeypatch, op, 0)
+        for embed in (score_records, embed_matrix):
+            with pytest.raises(NumericError, match="non-finite model output"):
+                embed(params, records)
 
 
 class TestStratifiedBatches:
