@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date as Date
 from datetime import timedelta
 
@@ -459,8 +459,13 @@ def mask_labels(ds: CountryDataset, fraction: float, seed: int) -> CountryDatase
         if quota > 0:
             order = rng.permutation(len(pool))
             chosen.update(pool[j] for j in order[:quota])
-    records = [
-        r if i in chosen else replace(r, illicit=None, revenue=None)
-        for i, r in enumerate(ds.records)
-    ]
+    records = [r if i in chosen else _hidden(r) for i, r in enumerate(ds.records)]
     return CountryDataset.build(ds.country_id, records, sealed=dict(ds.sealed))
+
+
+def _hidden(r: ImportDeclaration) -> ImportDeclaration:
+    """`r` with its label hidden; a checked record stays valid without one, so
+    the twin skips `__post_init__`."""
+    twin = object.__new__(ImportDeclaration)
+    twin.__dict__.update(r.__dict__, illicit=None, revenue=None)
+    return twin

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -35,7 +34,7 @@ from .declarations import (
     split,
 )
 from .errors import DataError, MetricError
-from .pretrain import PretrainConfig, pretrain, select_fraud_like
+from .pretrain import PretrainConfig, inspected, pretrain, select_fraud_like
 
 SCENARIO_KINDS = (
     "target_only",
@@ -67,10 +66,7 @@ def revenue_at_k(scores, test: CountryDataset, rate: float = 0.05) -> float:
     total = revenues.sum()
     if total <= 0:
         raise MetricError("total collectible revenue is zero; metric undefined")
-    ids = np.array([r.id for r in test.records])
-    order = np.lexsort((ids, -scores))
-    n_inspect = math.ceil(rate * n)
-    return float(revenues[order[:n_inspect]].sum() / total)
+    return float(revenues[inspected(scores, test.records, rate)].sum() / total)
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +117,21 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    scenario: str
-    kind: str
-    source_ids: tuple[str, ...]
-    target_id: str
-    label_fraction: float
-    per_class: int
-    inspection_rate: float
-    seeds: tuple[int, ...]
-    revenues: tuple[float, ...]
-    mean: float
-    stdev: float
+    config: ScenarioConfig
+    revenues: tuple[float, ...]  # one Revenue@k per seed, in config.seeds order
     wall_time_s: float
-    version: str
+
+    @property
+    def scenario(self) -> str:
+        return self.config.name
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.revenues))
+
+    @property
+    def stdev(self) -> float:
+        return float(np.std(self.revenues))
 
 
 # ---------------------------------------------------------------------------
@@ -141,36 +139,35 @@ class ScenarioReport:
 
 
 class ScenarioRunner:
-    """Executes scenarios against one world, caching per-seed source models."""
+    """Executes scenarios against one world, memoizing splits, source models,
+    prototype sets and target-only models across scenarios and seeds."""
 
     def __init__(
         self,
         world: dict[str, CountryDataset],
-        split_spec: SplitSpec = SplitSpec(),
         pretrain_cfg: PretrainConfig = PretrainConfig(),
         finetune_cfg: FinetuneConfig = FinetuneConfig(),
         fraud_like_fraction: float = 0.05,
     ):
         self.world = world
-        self.split_spec = split_spec
         self.pretrain_cfg = pretrain_cfg
         self.finetune_cfg = finetune_cfg
         self.fraud_like_fraction = fraud_like_fraction
-        self._splits: dict[str, dict[str, CountryDataset]] = {}
-        self._pretrained: dict = {}
-        self._protos: dict = {}
-        self._target_only: dict = {}
+        self._memo: dict[tuple, object] = {}
+
+    def _cached(self, key: tuple, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
     def splits(self, country_id: str) -> dict[str, CountryDataset]:
         if country_id not in self.world:
             raise DataError(f"unknown country {country_id!r}")
-        if country_id not in self._splits:
-            self._splits[country_id] = split(self.world[country_id], self.split_spec)
-        return self._splits[country_id]
+        ds = self.world[country_id]
+        return self._cached(("splits", country_id), lambda: split(ds, SplitSpec()))
 
     def pretrained(self, country_id: str, seed: int, use_interaction: bool, scl_on: bool):
-        key = (country_id, seed, use_interaction, scl_on)
-        if key not in self._pretrained:
+        def make():
             sp = self.splits(country_id)
             cfg = replace(
                 self.pretrain_cfg,
@@ -178,104 +175,74 @@ class ScenarioRunner:
                 scl_weight=self.pretrain_cfg.scl_weight if scl_on else 0.0,
                 encoder=replace(self.pretrain_cfg.encoder, use_interaction=use_interaction),
             )
-            self._pretrained[key] = pretrain(sp["train"], sp["valid"], cfg)[0]
-        return self._pretrained[key]
+            return pretrain(sp["train"], sp["valid"], cfg)[0]
+
+        return self._cached(("pretrained", country_id, seed, use_interaction, scl_on), make)
 
     def prototypes(
         self, country_id: str, seed: int, per_class: int, use_interaction: bool, scl_on: bool
     ):
-        key = (country_id, seed, per_class, use_interaction, scl_on)
-        if key not in self._protos:
+        def make():
             params = self.pretrained(country_id, seed, use_interaction, scl_on)
-            fraud_like = select_fraud_like(
-                params, self.splits(country_id)["train"], self.fraud_like_fraction
-            )
-            self._protos[key] = extract_prototypes(params, fraud_like, per_class, seed=seed)
-        return self._protos[key]
+            train = self.splits(country_id)["train"]
+            fraud_like = select_fraud_like(params, train, self.fraud_like_fraction)
+            return extract_prototypes(params, fraud_like, per_class, seed=seed)
 
-    def target_only_model(
-        self, country_id: str, seed: int, label_fraction: float, use_interaction: bool
-    ):
-        key = (country_id, seed, label_fraction, use_interaction)
-        if key not in self._target_only:
-            sp = self.splits(country_id)
-            train = mask_labels(sp["train"], label_fraction, seed)
-            cfg = replace(
-                self.finetune_cfg,
-                init_from_source=False,
-                use_memory=False,
-                seed=seed,
-                encoder=replace(self.finetune_cfg.encoder, use_interaction=use_interaction),
-            )
-            self._target_only[key] = finetune(train, sp["valid"], None, None, cfg)[0]
-        return self._target_only[key]
+        key = ("prototypes", country_id, seed, per_class, use_interaction, scl_on)
+        return self._cached(key, make)
 
-    def _run_seed(self, cfg: ScenarioConfig, seed: int) -> float:
-        variant = cfg.variant
-        use_inter = variant != "encoding"
-        scl_on = variant != "scl"
-        enc_cfg = replace(self.finetune_cfg.encoder, use_interaction=use_inter)
+    def _finetune(self, cfg: ScenarioConfig, seed: int, source=None, bank=None, reference=None):
+        """Fine-tunes on the target's train split, masked for this seed: from
+        `source` and over `bank` when given, and with AKC's consistency penalty
+        when the `reference` target-only model is given."""
         sp = self.splits(cfg.target_id)
         train = mask_labels(sp["train"], cfg.label_fraction, seed)
-        valid, test = sp["valid"], sp["test"]
+        base = self.finetune_cfg
+        ft = replace(
+            base,
+            init_from_source=source is not None,
+            use_memory=bank is not None,
+            use_calibration=base.use_calibration if bank is None else cfg.variant != "calibration",
+            seed=seed,
+            encoder=replace(base.encoder, use_interaction=cfg.variant != "encoding"),
+        )
+        if reference is not None:  # akc_finetune sets init_from_source/use_memory itself
+            return akc_finetune(train, sp["valid"], source, ft, target_pretrained=reference)[0]
+        return finetune(train, sp["valid"], bank, source, ft)[0]
+
+    def _run_seed(self, cfg: ScenarioConfig, seed: int) -> float:
+        use_inter, scl_on = cfg.variant != "encoding", cfg.variant != "scl"
+
+        def target_only():  # only variant-free kinds get here, so the variant is no key
+            key = ("target_only", cfg.target_id, cfg.label_fraction, seed)
+            return self._cached(key, lambda: self._finetune(cfg, seed))
 
         if cfg.kind == "target_only":
-            model = self.target_only_model(cfg.target_id, seed, cfg.label_fraction, use_inter)
-        elif cfg.kind == "vanilla" or (cfg.kind == "ablation" and variant == "memory"):
+            model = target_only()
+        else:
             src = self.pretrained(cfg.source_ids[0], seed, use_inter, scl_on)
-            ft = replace(
-                self.finetune_cfg,
-                init_from_source=True,
-                use_memory=False,
-                seed=seed,
-                encoder=enc_cfg,
-            )
-            model = finetune(train, valid, None, src, ft)[0]
-        elif cfg.kind == "akc":
-            src = self.pretrained(cfg.source_ids[0], seed, use_inter, scl_on)
-            reference = self.target_only_model(cfg.target_id, seed, cfg.label_fraction, use_inter)
-            ft = replace(self.finetune_cfg, seed=seed, encoder=enc_cfg)
-            model = akc_finetune(train, valid, src, ft, target_pretrained=reference)[0]
-        else:  # prototype-sharing pipelines
-            protos = [
-                self.prototypes(s, seed, cfg.per_class, use_inter, scl_on)
-                for s in cfg.source_ids
-            ]
-            bank = assemble(protos)
-            if cfg.kind == "random_memory":
-                bank = assemble([random_bank(bank.dim, max(2, len(bank)), seed)])
-            src = self.pretrained(cfg.source_ids[0], seed, use_inter, scl_on)
-            ft = replace(
-                self.finetune_cfg,
-                init_from_source=True,
-                use_memory=True,
-                use_calibration=variant != "calibration",
-                seed=seed,
-                encoder=enc_cfg,
-            )
-            model = finetune(train, valid, bank, src, ft)[0]
+            if cfg.kind == "akc":
+                model = self._finetune(cfg, seed, src, reference=target_only())
+            elif cfg.kind == "vanilla" or cfg.variant == "memory":
+                model = self._finetune(cfg, seed, src)
+            else:  # prototype-sharing pipelines
+                protos = [
+                    self.prototypes(s, seed, cfg.per_class, use_inter, scl_on)
+                    for s in cfg.source_ids
+                ]
+                bank = assemble(protos)
+                if cfg.kind == "random_memory":
+                    bank = assemble([random_bank(bank.dim, max(2, len(bank)), seed)])
+                model = self._finetune(cfg, seed, src, bank)
 
+        test = self.splits(cfg.target_id)["test"]
         scores = adapt_mod.score_records(model, test.records)
         return revenue_at_k(scores, test, cfg.inspection_rate)
 
     def run(self, cfg: ScenarioConfig) -> ScenarioReport:
         started = time.perf_counter()
         revenues = tuple(self._run_seed(cfg, s) for s in cfg.seeds)
-        return ScenarioReport(
-            scenario=cfg.name,
-            kind=cfg.kind,
-            source_ids=cfg.source_ids,
-            target_id=cfg.target_id,
-            label_fraction=cfg.label_fraction,
-            per_class=cfg.per_class,
-            inspection_rate=cfg.inspection_rate,
-            seeds=cfg.seeds,
-            revenues=revenues,
-            mean=float(np.mean(revenues)),
-            stdev=float(np.std(revenues)),
-            wall_time_s=time.perf_counter() - started,
-            version=__version__,
-        )
+        return ScenarioReport(cfg, revenues, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -297,29 +264,27 @@ _CSV_COLUMNS = (
 )
 
 
-def _report_rows(rep: ScenarioReport) -> list[dict]:
-    base = {
-        "scenario": rep.scenario,
-        "kind": rep.kind,
-        "source_ids": "+".join(rep.source_ids),
-        "target_id": rep.target_id,
-        "label_fraction": repr(rep.label_fraction),
-        "per_class": rep.per_class,
-        "inspection_rate": repr(rep.inspection_rate),
+def _config_fields(cfg: ScenarioConfig) -> dict:
+    """The report columns both formats take from the config, `source_ids` aside."""
+    return {
+        "scenario": cfg.name,
+        "kind": cfg.kind,
+        "target_id": cfg.target_id,
+        "label_fraction": cfg.label_fraction,
+        "per_class": cfg.per_class,
+        "inspection_rate": cfg.inspection_rate,
     }
-    rows = []
-    for seed, rev in zip(rep.seeds, rep.revenues):
-        rows.append({**base, "row": "seed", "seed": seed, "revenue_at_k": repr(rev), "mean": "", "stdev": ""})
-    rows.append(
-        {
-            **base,
-            "row": "aggregate",
-            "seed": "",
-            "revenue_at_k": "",
-            "mean": repr(rep.mean),
-            "stdev": repr(rep.stdev),
-        }
-    )
+
+
+def _report_rows(rep: ScenarioReport) -> list[dict]:
+    # the csv module writes a float as its repr, like json
+    base = {**_config_fields(rep.config), "source_ids": "+".join(rep.config.source_ids)}
+    rows = [
+        {**base, "row": "seed", "seed": seed, "revenue_at_k": rev, "mean": "", "stdev": ""}
+        for seed, rev in zip(rep.config.seeds, rep.revenues)
+    ]
+    rows.append({**base, "row": "aggregate", "seed": "", "revenue_at_k": "",
+                 "mean": rep.mean, "stdev": rep.stdev})
     return rows
 
 
@@ -334,18 +299,13 @@ def _reports_csv(reports: list[ScenarioReport]) -> str:
 
 def _reports_json(reports: list[ScenarioReport]) -> str:
     payload = {
-        "version": reports[0].version if reports else __version__,
+        "version": __version__,
         "scenarios": [
             {
-                "scenario": r.scenario,
-                "kind": r.kind,
-                "source_ids": list(r.source_ids),
-                "target_id": r.target_id,
-                "label_fraction": r.label_fraction,
-                "per_class": r.per_class,
-                "inspection_rate": r.inspection_rate,
+                **_config_fields(r.config),
+                "source_ids": list(r.config.source_ids),
                 "per_seed": [
-                    {"seed": s, "revenue_at_k": v} for s, v in zip(r.seeds, r.revenues)
+                    {"seed": s, "revenue_at_k": v} for s, v in zip(r.config.seeds, r.revenues)
                 ],
                 "mean": r.mean,
                 "stdev": r.stdev,

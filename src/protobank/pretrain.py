@@ -118,13 +118,18 @@ def stratified_batches(
     return [np.concatenate(c) for c in chunks if sum(len(p) for p in c) > 0]
 
 
+def inspected(scores: np.ndarray, records, rate: float) -> np.ndarray:
+    """Indices of the ceil(rate * n) records an inspector opens: the highest
+    scores first, ties broken by ascending record id."""
+    order = np.lexsort((np.array([r.id for r in records]), -scores))
+    return order[: math.ceil(rate * len(records))]
+
+
 def valid_metric(scores: np.ndarray, valid: CountryDataset) -> tuple[float, bool]:
     """Validation Revenue@5% of `scores` and True; -BCE and False when revenue
-    is undefined; -inf and False on an empty split."""
+    is undefined."""
     from .evaluation import revenue_at_k  # local import to avoid a module cycle
 
-    if not valid.records:
-        return -np.inf, False
     try:
         return revenue_at_k(scores, valid, 0.05), True
     except (MetricError, DataError):
@@ -152,6 +157,8 @@ def fit(model, tensors: dict[str, Tensor], score, valid: CountryDataset, y, batc
     one curve row per epoch: each part's batch-weighted mean, `valid_metric` of
     `score(model, valid.records)`, and `valid_revenue` (NaN after a fallback).
     """
+    if not valid.records:  # no epoch could win, so the untrained model would come back
+        raise DataError(f"{valid.country_id}: the validation split is empty")
     opt = OptimizerState(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
     best, best_metric = model.copy(), -np.inf
     curve: list[dict] = []
@@ -222,8 +229,5 @@ def select_fraud_like(
     if not 0 < fraction <= 1:
         raise DataError(f"fraction {fraction} out of (0, 1]")
     scores = score_records(params, ds.records)
-    n_keep = math.ceil(fraction * len(ds.records))
-    ids = np.array([r.id for r in ds.records])
-    order = np.lexsort((ids, -scores))
-    keep = {int(ids[i]) for i in order[:n_keep]}
+    keep = {ds.records[i].id for i in inspected(scores, ds.records, fraction)}
     return ds.subset(lambda r: r.id in keep)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 import zlib
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -408,6 +409,22 @@ class TestExitCodes:
         assert main(["experiment", "--suite", "single", "--config", str(world_dir / "world.cfg"),
                      "--seeds", "0", "--out", str(out)]) == 2
         assert "data error: seeds must be a nonempty tuple" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_empty_validation_window_is_data_error(self, world_dir, tmp_path, capsys, command):
+        lines = (world_dir / "data" / "AA.csv").read_text().splitlines()
+        day = [line.split(",")[1] for line in lines]  # the date column
+        last = max(date.fromisoformat(d) for d in day[1:])
+        # the default split's validation window: the 14 days before the last 30
+        gap = {(last - timedelta(days=d)).isoformat() for d in range(30, 44)}
+        gapped = tmp_path / "gapped.csv"
+        gapped.write_text("\n".join(line for line, d in zip(lines, day) if d not in gap) + "\n")
+        out = tmp_path / "m.pbm"
+        argv = [command, "--data", str(gapped), "--country", "AA", "--epochs", "2",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "data error: AA: the validation split is empty" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("adapt", [False, True], ids=["encoder", "adapt"])

@@ -110,9 +110,6 @@ class TestDatasetBuild:
         parts = split(ds, SplitSpec(test_window_days=10, valid_window_days=10))
         assert sum(len(p) for p in parts.values()) == len(ds)
         assert calls == []
-        masked = mask_labels(parts["train"], 0.5, seed=0)
-        # only the records whose labels were hidden are new values
-        assert len(calls) == sum(r.illicit is None for r in masked.records)
 
 
 class TestCsv:
@@ -288,6 +285,25 @@ class TestMaskLabels:
     def test_fraction_out_of_range(self):
         with pytest.raises(DataError):
             mask_labels(make_dataset(), 0.0, 1)
+
+    def test_hidden_twins_match_replace_without_record_checks(self, monkeypatch):
+        ds = make_dataset(60, n_days=20, fraud_every=4)
+        checks = []
+        check = ImportDeclaration.__post_init__
+
+        def counted(rec):
+            checks.append(rec.id)
+            check(rec)
+
+        monkeypatch.setattr(ImportDeclaration, "__post_init__", counted)
+        masked = mask_labels(ds, 0.2, 3)
+        assert checks == []  # the records were checked when they were built
+        hidden = [(a, b) for a, b in zip(ds.records, masked.records) if b.illicit is None]
+        assert len(hidden) == 60 - 12
+        for before, twin in hidden:
+            expected = replace(before, illicit=None, revenue=None)
+            assert twin == expected and hash(twin) == hash(expected)
+            assert vars(twin) == vars(expected)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.floats(0.05, 1.0), st.integers(0, 2**31 - 1))

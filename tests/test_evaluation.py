@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from protobank.declarations import CountryDataset, CountrySpec, SyntheticWorldConfig, generate_world
+from protobank import evaluation
+from protobank._version import __version__
 from protobank.encoder import EncoderConfig
 from protobank.errors import DataError, MetricError
 from protobank.evaluation import (
@@ -100,15 +102,10 @@ class TestRevenueAtK:
 
 
 class TestEmitReport:
-    def _report(self, name="s1", seeds=(0, 1)):
+    def _report(self, target="B", seeds=(0, 1)):
         revs = tuple(0.1 * (i + 1) for i in range(len(seeds)))
-        return ScenarioReport(
-            scenario=name, kind="proto_single", source_ids=("A",), target_id="B",
-            label_fraction=0.01, per_class=500, inspection_rate=0.05,
-            seeds=tuple(seeds), revenues=revs,
-            mean=float(np.mean(revs)), stdev=float(np.std(revs)),
-            wall_time_s=1.0, version="0.1.0",
-        )
+        cfg = ScenarioConfig("proto_single", target, ("A",), seeds=tuple(seeds))
+        return ScenarioReport(config=cfg, revenues=revs, wall_time_s=1.0)
 
     def test_empty_list_header_only(self):
         csv_text, json_text = emit_report([])
@@ -117,8 +114,8 @@ class TestEmitReport:
         assert json.loads(json_text)["scenarios"] == []
 
     def test_row_counts(self):
-        csv_text, _ = emit_report([self._report("a", seeds=(0, 1, 2, 3, 4)),
-                                   self._report("b", seeds=(0, 1, 2, 3, 4))])
+        csv_text, _ = emit_report([self._report("B", seeds=(0, 1, 2, 3, 4)),
+                                   self._report("C", seeds=(0, 1, 2, 3, 4))])
         lines = csv_text.splitlines()
         assert len(lines) == 1 + 10 + 2  # header + details + aggregates
 
@@ -127,7 +124,7 @@ class TestEmitReport:
         csv_text, json_text = emit_report([rep])
         payload = json.loads(json_text)
         scenario = payload["scenarios"][0]
-        for row, (seed, rev) in zip(csv_text.splitlines()[1:], zip(rep.seeds, rep.revenues)):
+        for row, (seed, rev) in zip(csv_text.splitlines()[1:], zip(rep.config.seeds, rep.revenues)):
             cells = row.split(",")
             assert cells[8] == str(seed)
             assert float(cells[9]) == rev
@@ -135,14 +132,27 @@ class TestEmitReport:
         assert scenario["per_seed"][0]["revenue_at_k"] == rep.revenues[0]
 
     def test_files_written(self, tmp_path):
-        emit_report([self._report("sc")], tmp_path)
+        rep = self._report("C")
+        emit_report([rep], tmp_path)
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "summary.json").exists()
-        assert (tmp_path / "sc" / "report.csv").exists()
-        assert (tmp_path / "sc" / "report.json").exists()
+        assert (tmp_path / rep.scenario / "report.csv").exists()
+        assert (tmp_path / rep.scenario / "report.json").exists()
+
+    def test_report_fields_come_from_its_config(self):
+        rep = self._report(seeds=(0, 1, 2))
+        assert [f.name for f in dataclasses.fields(rep)] == ["config", "revenues", "wall_time_s"]
+        assert rep.scenario == rep.config.name
+        assert (rep.mean, rep.stdev) == (float(np.mean(rep.revenues)), float(np.std(rep.revenues)))
+        payload = json.loads(emit_report([rep])[1])
+        assert payload["version"] == __version__
+        scenario = payload["scenarios"][0]
+        assert scenario["scenario"] == rep.config.name
+        assert scenario["source_ids"] == ["A"] and scenario["target_id"] == "B"
+        assert [p["seed"] for p in scenario["per_seed"]] == [0, 1, 2]
 
     def test_reaggregation_from_detail_rows(self):
-        rep = self._report("agg", seeds=(0, 1, 2))
+        rep = self._report(seeds=(0, 1, 2))
         csv_text, _ = emit_report([rep])
         detail = [float(r.split(",")[9]) for r in csv_text.splitlines()[1:-1]]
         agg = csv_text.splitlines()[-1].split(",")
@@ -170,6 +180,18 @@ FAST_RUNNER = dict(
 @pytest.fixture(scope="module")
 def world():
     return generate_world(TINY_WORLD)
+
+
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Counts the runner's calls to the named functions of the evaluation module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    return calls
 
 
 class TestScenarioRunner:
@@ -205,7 +227,8 @@ class TestScenarioRunner:
         with pytest.raises(DataError):
             runner.run(ScenarioConfig("target_only", "ZZ", seeds=(0,)))
 
-    def test_prototype_sweep_reuses_pretrained_model(self, world):
+    def test_prototype_sweep_reuses_pretrained_model(self, world, monkeypatch):
+        calls = _count_calls(monkeypatch, "pretrain", "extract_prototypes")
         runner = ScenarioRunner(world, **FAST_RUNNER)
         for pc in (3, 7, 11):
             runner.run(
@@ -213,8 +236,14 @@ class TestScenarioRunner:
                                per_class=pc)
             )
         # one pretrained source model per seed, re-clustered per prototype count
-        assert len(runner._pretrained) == 1
-        assert len(runner._protos) == 3
+        assert calls == {"pretrain": 1, "extract_prototypes": 3}
+
+    def test_target_only_masks_once_per_seed(self, world, monkeypatch):
+        calls = _count_calls(monkeypatch, "mask_labels")
+        ScenarioRunner(world, **FAST_RUNNER).run(
+            ScenarioConfig("target_only", "BB", seeds=(0, 1), label_fraction=0.05)
+        )
+        assert calls == {"mask_labels": 2}
 
     def test_parallel_runs_match_serial(self, world):
         from concurrent.futures import ThreadPoolExecutor

@@ -341,13 +341,12 @@ class TestFit:
         assert best.tensors["w"].data[0] == seen[2]  # the weight after epoch 0
         assert all(r["sq"] == 1.0 for r in curve)  # batch-weighted mean of each part
 
-    def test_empty_validation_split_keeps_initial_model(self):
+    def test_empty_validation_split_rejected(self):
+        # no epoch could beat the initial -inf, so the untrained model came back
         parts = split(separable_dataset(), SplitSpec(15, 10))
         empty = parts["valid"].subset(lambda r: False)
-        best, curve, _ = self._run(empty, lambda m, records: np.zeros(0))
-        assert best.tensors["w"].data[0] == 1.0
-        assert all(r["valid_metric"] == -np.inf for r in curve)
-        assert all(math.isnan(r["valid_revenue"]) for r in curve)
+        with pytest.raises(DataError, match="validation split is empty"):
+            self._run(empty, lambda m, records: np.zeros(0))
 
 
 def _silhouette(h: np.ndarray, labels: np.ndarray) -> float:
