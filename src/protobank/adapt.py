@@ -112,7 +112,11 @@ def memory_attend(h, memory) -> tuple[Tensor, Tensor]:
     if ht.shape[1] != rows.shape[1]:
         raise ShapeError(f"dimension mismatch: h has {ht.shape[1]}, bank has {rows.shape[1]}")
     bank = Tensor(rows)
-    weights = nm.softmax(nm.matmul(ht, nm.transpose(bank)), axis=1)
+    logits = nm.matmul(ht, nm.transpose(bank))
+    # the weights overwrite the logits, so a scoring chunk holds one (N, M)
+    # array, not two; nothing reads the logits later (matmul's VJP reads only
+    # its inputs)
+    weights = nm.softmax(logits, axis=1, out=logits.data)
     attended = nm.matmul(weights, bank)
     return attended, weights
 

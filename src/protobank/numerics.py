@@ -287,9 +287,15 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out, (a,), vjp)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a, axis: int = -1, out: Array | None = None) -> Tensor:
+    """Softmax along `axis`, written into `out` as numpy's `out=` is.
+
+    Without `out` the result is a fresh array and `a` is never written.
+    `out` may be `a.data` itself: the VJP reads only the output, so that is
+    safe whenever nothing else reads `a` afterwards.
+    """
     a = _wrap(a)
-    out = a.data - a.data.max(axis=axis, keepdims=True)  # a fresh array; `a` is never written
+    out = np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
 

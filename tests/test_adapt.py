@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from protobank.encoder import EncoderConfig, batch_inputs, save_encoder
 from protobank.errors import DataError, NumericError, ShapeError
 from protobank.numerics import Tensor, grad_check
 from tests.test_declarations import make_dataset
-from tests.test_encoder import small_params
+from tests.test_encoder import small_params, world_params, world_records
 from tests.test_pretrain import nan_after, separable_dataset
 
 SMALL_FT = FinetuneConfig(
@@ -88,6 +89,82 @@ class TestMemoryAttend:
             memory_attend(np.ones((2, 3)), np.ones(3))
         with pytest.raises(ShapeError, match=r"\(1, 4, 3\)"):
             memory_attend(np.ones((2, 3)), np.ones((1, 4, 3)))
+
+
+_SOFTMAX = nm.softmax
+
+
+def two_array_softmax(a, axis=-1, out=None):
+    """Softmax into a fresh array whatever `out` names, so the logits are kept."""
+    return _SOFTMAX(a, axis=axis)
+
+
+@pytest.fixture(scope="module")
+def world():
+    """An encoder over `world_records()` (1100 records) and those records."""
+    return world_params(), world_records().records
+
+
+def world_model(world, bank_rows: int) -> AdaptParams:
+    model = AdaptParams.init(world[0], np.random.default_rng(1))
+    d = model.encoder.config.d
+    model.bank_matrix = np.random.default_rng(bank_rows).normal(size=(bank_rows, d))
+    return model
+
+
+class TestLogitsOverwrite:
+    """memory_attend lets softmax write into the logits; every bit must stay."""
+
+    @pytest.mark.parametrize("rows", [1, 197, 500, 2000])
+    def test_attend_and_scores_match_two_array_form(self, rows, world, monkeypatch):
+        model, records = world_model(world, rows), world[1]
+        h = np.random.default_rng(0).normal(size=(1025, model.encoder.config.d))
+
+        def outputs():
+            got = []
+            for n in (1, 1023, 1024, 1025):
+                attended, weights = memory_attend(h[:n], model.bank_matrix)
+                got += [attended.data, weights.data, score_records(model, records[:n])]
+            return got
+
+        in_place = outputs()
+        monkeypatch.setattr(nm, "softmax", two_array_softmax)
+        for got, want in zip(in_place, outputs(), strict=True):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_finetune_with_big_bank_matches_two_array_form(self, monkeypatch):
+        parts = split(separable_dataset(n=260), SplitSpec(15, 10))
+        bank = small_bank(dim=8, rows=2000, seed=5)
+        cfg = FinetuneConfig(epochs=2, seed=2, use_memory=True, encoder=SMALL_FT.encoder)
+        in_place, curve = finetune(parts["train"], parts["valid"], bank, None, cfg)
+        monkeypatch.setattr(nm, "softmax", two_array_softmax)
+        want, want_curve = finetune(parts["train"], parts["valid"], bank, None, cfg)
+        assert save_adapt(in_place) == save_adapt(want)
+        assert repr(curve) == repr(want_curve)
+
+    @pytest.mark.parametrize("rows", [1, 197, 2000])
+    def test_grad_check_wrt_h(self, rows):
+        rng = np.random.default_rng(rows)
+        bank_rows = rng.normal(size=(rows, 4))
+        g = rng.normal(size=(3, 4))
+
+        def f(t):
+            return nm.reduce_sum(nm.mul(memory_attend(t, bank_rows)[0], Tensor(g)))
+
+        assert grad_check(f, Tensor(rng.normal(size=(3, 4))), eps=1e-5) <= 1e-5
+
+    def test_score_records_memory_peak(self, world):
+        model = world_model(world, 2000)
+        tracemalloc.start()
+        try:
+            score_records(model, world[1][:1024])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (1024, 2000) float64 array is 16.4 MB; keeping the logits next
+        # to the softmax output would hold two of them
+        assert peak < 1.5 * 1024 * 2000 * 8
 
 
 class TestCalibrate:

@@ -30,18 +30,21 @@ def test_softmax_shift_invariance():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def single_pass_softmax(a, axis: int = -1) -> Tensor:
-    """Softmax with a fresh array for every step (oracle for the in-place one)."""
+def single_pass_softmax(a, axis: int = -1, out=None) -> Tensor:
+    """Softmax with a fresh array for every step, copied into `out` if given (oracle)."""
     a = nm._wrap(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    res = e / e.sum(axis=axis, keepdims=True)
+    if out is not None:
+        out[...] = res
+        res = out
 
     def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
+        dot = (g * res).sum(axis=axis, keepdims=True)
+        return ((g - dot) * res,)
 
-    return nm._node(out, (a,), vjp)
+    return nm._node(res, (a,), vjp)
 
 
 @pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 9), 1), ((5, 9), 0), ((3, 1), 1)])
@@ -59,6 +62,29 @@ def test_softmax_in_place_matches_oracle_and_keeps_input(shape, axis):
     nm.reduce_sum(nm.mul(want, Tensor(g))).backward()
     assert a.grad.tobytes() == b.grad.tobytes()
     assert a.data.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("into", ["input", "buffer"])
+@pytest.mark.parametrize("shape, axis", [((7,), 0), ((5, 9), 1), ((5, 9), 0), ((3, 1), 1)])
+def test_softmax_out_matches_oracle(shape, axis, into):
+    # out=a.data overwrites the input and must still give the oracle's values
+    # and gradients (the VJP reads only the output); a separate buffer leaves
+    # the input as it was
+    rng = np.random.default_rng(sum(shape) + axis)
+    x = rng.normal(size=shape) * 30
+    x.flat[0] = -0.0
+    a = Tensor(x.copy(), requires_grad=True)
+    b = Tensor(x.copy(), requires_grad=True)
+    out = a.data if into == "input" else np.full(shape, np.nan)
+    got, want = nm.softmax(a, axis=axis, out=out), single_pass_softmax(b, axis=axis)
+    assert got.data is out
+    assert got.data.tobytes() == want.data.tobytes()
+    g = rng.normal(size=shape)
+    nm.reduce_sum(nm.mul(got, Tensor(g))).backward()
+    nm.reduce_sum(nm.mul(want, Tensor(g))).backward()
+    assert a.grad.tobytes() == b.grad.tobytes()
+    if into == "buffer":
+        assert a.data.tobytes() == x.tobytes()
 
 
 def test_outer_definition():

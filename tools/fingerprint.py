@@ -8,9 +8,11 @@ trees and comparing the output:
 
 For seeds 0 and 1 on `two_country_world_config()` it trains a 3-epoch
 pretrain with and without the contrastive term, a 3-epoch memory fine-tune
-from the source model, a 3-epoch plain fine-tune and a 2-epoch adaptive
-transfer (AKC) model, and digests each model's saved bytes, its test-set
-scores and its curve. It then digests the report tree of
+from the source model, the same fine-tune over a 2000-row bank, a 3-epoch
+plain fine-tune and a 2-epoch adaptive transfer (AKC) model, and digests
+each model's saved bytes, its scores and its curve. Scores are over the
+target's test split, except the 2000-row bank model's, which are over all
+6000 target records. It then digests the report tree of
 `protobank experiment --seeds 2` for the `single`, `ablation` and
 `randommem` suites on a 1400-record two-country world. Only public API is
 used, and BLAS runs on one thread so the floating-point sums are ordered.
@@ -37,7 +39,7 @@ import numpy as np  # noqa: E402
 import protobank as pb  # noqa: E402
 from protobank.adapt import save_adapt, score_records as adapt_scores  # noqa: E402
 from protobank.cli import main as cli_main  # noqa: E402
-from protobank.encoder import EncoderParams, save_encoder, score_records  # noqa: E402
+from protobank.encoder import EncoderParams, embed_matrix, save_encoder, score_records  # noqa: E402
 from protobank.evaluation import two_country_world_config  # noqa: E402
 
 TINY_WORLD_CFG = """\
@@ -99,6 +101,14 @@ def stage_lines(world, seed: int) -> list[str]:
     mem_cfg = pb.FinetuneConfig(epochs=3, seed=seed, init_from_source=True, use_memory=True)
     memory, curve = pb.finetune(train, tgt["valid"], bank, source, mem_cfg)
     lines += model_lines(f"seed{seed} finetune_memory", memory, curve, test)
+    # a 2000-row bank of raw source representations, scored over all 6000
+    # target records: attention at the size of perfbench's score_bulk
+    labeled = src["train"].labeled()[:2000]
+    fraud = np.array([r.illicit for r in labeled])
+    h = embed_matrix(source, labeled)
+    big = pb.assemble([pb.PrototypeSet("SRC", source.config.d, h[fraud], h[~fraud])])
+    big_memory, curve = pb.finetune(train, tgt["valid"], big, source, mem_cfg)
+    lines += model_lines(f"seed{seed} finetune_bank2000", big_memory, curve, world["TGT"])
     plain_cfg = pb.FinetuneConfig(epochs=3, seed=seed, use_memory=False)
     plain, curve = pb.finetune(train, tgt["valid"], None, None, plain_cfg)
     lines += model_lines(f"seed{seed} finetune_plain", plain, curve, test)
