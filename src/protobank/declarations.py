@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, fields
 from datetime import date as Date
 from datetime import timedelta
 
@@ -47,7 +48,7 @@ CSV_COLUMNS = (
 _MAX_PRICE_PER_KG = 1e100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImportDeclaration:
     """One trade record, checked when constructed; `illicit`/`revenue` are None when uninspected."""
 
@@ -132,7 +133,7 @@ class CountryDataset:
 # CSV ingestion
 
 
-def _parse_row(row: dict[str, str], line: int) -> ImportDeclaration:
+def _parse_row(row: dict[str, str], line: int, dates: dict[str, Date]) -> ImportDeclaration:
     try:
         illicit_raw = row["illicit"].strip()
         revenue_raw = row["revenue"].strip()
@@ -146,13 +147,14 @@ def _parse_row(row: dict[str, str], line: int) -> ImportDeclaration:
             revenue = float(revenue_raw) if revenue_raw else 0.0
         else:
             raise SchemaError("illicit must be 0, 1, or empty")
+        day = row["date"].strip()
         return ImportDeclaration(
             id=int(row["id"]),
-            date=Date.fromisoformat(row["date"].strip()),
+            date=dates.get(day) or dates.setdefault(day, Date.fromisoformat(day)),
             quantity=float(row["quantity"]),
             gross_weight=float(row["gross_weight"]),
-            hs6=row["hs6"].strip(),
-            country_code=row["country_code"].strip(),
+            hs6=sys.intern(row["hs6"].strip()),
+            country_code=sys.intern(row["country_code"].strip()),
             cif_value=float(row["cif_value"]),
             total_taxes=float(row["total_taxes"]),
             illicit=illicit,
@@ -178,6 +180,7 @@ def _line_of_bad_utf8(path) -> int:
 def load_csv(path, country_id: str | None = None) -> CountryDataset:
     """Read a declarations CSV whose header names every column of `CSV_COLUMNS`."""
     records = []
+    dates: dict[str, Date] = {}  # one object per distinct date
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -188,7 +191,7 @@ def load_csv(path, country_id: str | None = None) -> CountryDataset:
                 raise SchemaError(f"{path}: header missing columns {missing}")
             for row in reader:
                 try:
-                    records.append(_parse_row(row, reader.line_num))
+                    records.append(_parse_row(row, reader.line_num, dates))
                 except (AttributeError, TypeError):
                     if None not in row.values():  # DictReader's fill for a short row
                         raise
@@ -327,8 +330,9 @@ def _generate_country(
     hs6_weights = rng.dirichlet(np.full(cfg.n_hs6, 5.0))
     price_shift = rng.normal(0.0, 0.15)
 
-    days = np.sort(rng.integers(0, spec.duration_days, n))
+    days = np.sort(rng.integers(0, spec.duration_days, n)).tolist()
     start = _END_ANCHOR - timedelta(days=spec.duration_days - 1)
+    dates = {d: start + timedelta(days=d) for d in set(days)}  # one object per day
 
     n_fraud = round(spec.base_illicit_rate * n)
     fraud = np.zeros(n, dtype=bool)
@@ -368,7 +372,7 @@ def _generate_country(
         records.append(
             ImportDeclaration(
                 id=i,
-                date=start + timedelta(days=int(days[i])),
+                date=dates[days[i]],
                 quantity=float(quantity[i]),
                 gross_weight=float(gross),
                 hs6=hs6,
@@ -463,9 +467,18 @@ def mask_labels(ds: CountryDataset, fraction: float, seed: int) -> CountryDatase
     return CountryDataset.build(ds.country_id, records, sealed=dict(ds.sealed))
 
 
+# each field's slot descriptor; a hidden twin copies all but the two labels
+_SLOTS = {f.name: vars(ImportDeclaration)[f.name] for f in fields(ImportDeclaration)}
+_LABEL_SETTERS = (_SLOTS.pop("illicit").__set__, _SLOTS.pop("revenue").__set__)
+_COPIED = tuple((slot.__set__, slot.__get__) for slot in _SLOTS.values())
+
+
 def _hidden(r: ImportDeclaration) -> ImportDeclaration:
     """`r` with its label hidden; a checked record stays valid without one, so
     the twin skips `__post_init__`."""
     twin = object.__new__(ImportDeclaration)
-    twin.__dict__.update(r.__dict__, illicit=None, revenue=None)
+    for set_field, get_field in _COPIED:
+        set_field(twin, get_field(r))
+    for set_field in _LABEL_SETTERS:
+        set_field(twin, None)
     return twin

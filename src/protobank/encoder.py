@@ -149,19 +149,14 @@ class EncoderParams:
             {k: Tensor(t.data.copy(), requires_grad=True) for k, t in self.tensors.items()},
         )
 
-    def hs6_index(self, hs6: str) -> int:
-        return self.hs6_vocab.get(hs6, len(self.hs6_vocab))
-
-    def country_index(self, code: str) -> int:
-        return self.country_vocab.get(code, len(self.country_vocab))
-
 
 def batch_inputs(params: EncoderParams, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standardized features and vocab indices for a record sequence."""
     feats = np.array([record_features(r) for r in records])
     feats = (feats - params.stats.mean) / params.stats.std
-    hs6_idx = np.array([params.hs6_index(r.hs6) for r in records], dtype=np.int64)
-    cty_idx = np.array([params.country_index(r.country_code) for r in records], dtype=np.int64)
+    hs6, cty = params.hs6_vocab, params.country_vocab  # an unseen code gets index len(vocab)
+    hs6_idx = np.array([hs6.get(r.hs6, len(hs6)) for r in records], dtype=np.int64)
+    cty_idx = np.array([cty.get(r.country_code, len(cty)) for r in records], dtype=np.int64)
     return feats, hs6_idx, cty_idx
 
 

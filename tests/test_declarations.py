@@ -1,6 +1,7 @@
 import os
 import tempfile
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -303,7 +304,9 @@ class TestMaskLabels:
         for before, twin in hidden:
             expected = replace(before, illicit=None, revenue=None)
             assert twin == expected and hash(twin) == hash(expected)
-            assert vars(twin) == vars(expected)
+            for f in fields(ImportDeclaration):  # every slot set, to an equal value of one type
+                value, want = getattr(twin, f.name), getattr(expected, f.name)
+                assert value == want and type(value) is type(want), f.name
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.floats(0.05, 1.0), st.integers(0, 2**31 - 1))
@@ -368,6 +371,74 @@ def world_configs(draw):
             i = draw(st.integers(0, len(specs) - 1))
             specs[i] = replace(specs[i], **{key: value})
     return tuple(specs), top
+
+
+def _traced_bytes(make):
+    """(result of `make()`, bytes it allocated and still holds)."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _one_object_per_value(values) -> bool:
+    first = {}
+    return all(first.setdefault(v, v) is v for v in values)
+
+
+class TestRecordMemory:
+    # the shape of perfbench's score_bulk CSV, a third of its rows
+    CONFIG = SyntheticWorldConfig(
+        seed=11, countries=(CountrySpec("AA", 6000, 180, 0.05, (0,)),), n_shared_patterns=1
+    )
+
+    @pytest.fixture(scope="class")
+    def generated_and_loaded(self, tmp_path_factory):
+        generated = generate_world(self.CONFIG)["AA"]
+        path = tmp_path_factory.mktemp("memory") / "aa.csv"
+        write_csv(generated, path)
+        return generated, path
+
+    def test_load_csv_bytes_per_record(self, generated_and_loaded):
+        # slotted records sharing their dates and codes hold about 375 bytes
+        # each here; with a per-record dict and copies they held about 560
+        _, path = generated_and_loaded
+        ds, held = _traced_bytes(lambda: load_csv(path))
+        assert held / len(ds) < 460
+
+    def test_mask_labels_bytes_per_twin(self, generated_and_loaded):
+        # with its share of the copied sealed table, a hidden twin in slots
+        # holds about 190 bytes here; one with a dict held about 365
+        ds = generated_and_loaded[0]
+        masked, held = _traced_bytes(lambda: mask_labels(ds, 0.01, 5))
+        hidden = sum(r.illicit is None for r in masked.records)
+        assert hidden == len(ds) - 60
+        assert held / hidden < 275
+
+    def test_records_share_values_and_keep_dataclass_behaviour(self, generated_and_loaded):
+        generated, path = generated_and_loaded
+        loaded = load_csv(path)
+        assert loaded.records == generated.records
+        for records in (generated.records, loaded.records):
+            for name in ("date", "hs6", "country_code"):
+                assert _one_object_per_value(getattr(r, name) for r in records), name
+            assert not any(hasattr(r, "__dict__") for r in records)
+        for a, b in zip(generated.records, loaded.records):
+            for f in fields(ImportDeclaration):
+                assert type(getattr(a, f.name)) is type(getattr(b, f.name)), f.name
+        r = loaded.records[0]
+        copy = replace(r)
+        assert copy == r and hash(copy) == hash(r) and copy is not r
+        assert replace(r, id=-1) != r
+        with pytest.raises(SchemaError):
+            replace(r, hs6="12AB56")
+        with pytest.raises(FrozenInstanceError):
+            r.hs6 = "100001"
 
 
 class TestGenerateWorld:

@@ -14,8 +14,11 @@ each model's saved bytes, its scores and its curve. Scores are over the
 target's test split, except the 2000-row bank model's, which are over all
 6000 target records. It then digests the report tree of
 `protobank experiment --seeds 2` for the `single`, `ablation` and
-`randommem` suites on a 1400-record two-country world. Only public API is
-used, and BLAS runs on one thread so the floating-point sums are ordered.
+`randommem` suites on a 1400-record two-country world. Its first line
+digests every field of every record of the generated target country, and
+of the records `load_csv` reads back after `write_csv` wrote the whole
+world. Only public API is used, and BLAS runs on one thread so the
+floating-point sums are ordered.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
@@ -68,6 +72,26 @@ def curve_bytes(curve: list[dict]) -> bytes:
         f"{key}={float(value).hex()}" for row in curve for key, value in sorted(row.items())
     ]
     return "\n".join(cells).encode()
+
+
+def record_bytes(records) -> bytes:
+    """Every field of every record in exact form: floats as hex, the rest as repr."""
+    cells = []
+    for r in records:
+        for f in dataclasses.fields(r):
+            value = getattr(r, f.name)
+            cells.append(f"{f.name}={value.hex() if type(value) is float else repr(value)}")
+    return "\n".join(cells).encode()
+
+
+def data_line(world, tmp: Path) -> str:
+    loaded = []
+    for cid, ds in world.items():
+        path = tmp / f"{cid}.csv"
+        pb.write_csv(ds, path)
+        loaded += pb.load_csv(path, country_id=cid).records
+    generated = sha(record_bytes(world["TGT"].records))
+    return f"data generate_world {generated} load_csv {sha(record_bytes(loaded))}"
 
 
 def model_lines(name: str, model, curve, test) -> list[str]:
@@ -136,6 +160,8 @@ def suite_line(suite: str, tmp: Path) -> str:
 
 def main() -> int:
     world = pb.generate_world(two_country_world_config())
+    with tempfile.TemporaryDirectory() as tmp:
+        print(data_line(world, Path(tmp)), flush=True)
     for seed in (0, 1):
         for line in stage_lines(world, seed):
             print(line, flush=True)
