@@ -147,7 +147,7 @@ def target_forward(
     bank_rows: np.ndarray | None,
 ) -> tuple[Tensor, Tensor]:
     """Score a batch through embed -> attend -> calibrate -> refine -> head."""
-    _, _, _, h = embed_batch(params.encoder, feats, hs6_idx, cty_idx)
+    h = embed_batch(params.encoder, feats, hs6_idx, cty_idx)
     if bank_rows is not None:
         h_ts, _ = memory_attend(h, bank_rows)
         h_bar = calibrate(params, h, h_ts)[0] if params.use_calibration else h_ts
@@ -267,7 +267,7 @@ def akc_finetune(
     sel_inputs = batch_inputs(source_params, selected)
 
     def consistency(params: AdaptParams) -> Tensor:
-        _, _, _, h = embed_batch(params.encoder, *sel_inputs)
+        h = embed_batch(params.encoder, *sel_inputs)
         diff = nm.sub(h, source_h)
         return nm.mul(nm.reduce_mean(nm.mul(diff, diff)), akc_weight)
 

@@ -437,11 +437,6 @@ class BankServer(socketserver.ThreadingTCPServer):
         return thread
 
 
-def bank_service(store_dir, address: tuple[str, int] = ("127.0.0.1", 0)) -> BankServer:
-    """Create (but do not start) the exchange service bound to `address`."""
-    return BankServer(store_dir, address)
-
-
 class BankClient:
     """Blocking client for the exchange service."""
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .adapt import FinetuneConfig, finetune, load_model, save_adapt
 from .adapt import score_records as adapt_scores
-from .bank import BankClient, assemble, bank_service, extract_prototypes
+from .bank import BankClient, BankServer, assemble, extract_prototypes
 from .container import MemoryBank, PrototypeSet, deserialize, serialize
 from .declarations import (
     CountrySpec,
@@ -187,7 +187,7 @@ def _cmd_export_bank(args) -> int:
 
 
 def _cmd_serve_bank(args) -> int:
-    server = bank_service(args.dir, _parse_address(args.listen))
+    server = BankServer(args.dir, _parse_address(args.listen))
     host, port = server.address
     print(f"serving bank store {args.dir} on {host}:{port}", file=sys.stderr, flush=True)
     try:
@@ -270,7 +270,7 @@ def _cmd_experiment(args) -> int:
     reports = [runner.run(cfg) for cfg in configs]
     for rep in reports:
         print(
-            f"{rep.scenario}: mean={rep.mean:.4f} stdev={rep.stdev:.4f}"
+            f"{rep.config.name}: mean={rep.mean:.4f} stdev={rep.stdev:.4f}"
             f" ({rep.wall_time_s:.1f}s)",
             file=sys.stderr,
         )

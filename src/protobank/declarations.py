@@ -1,9 +1,10 @@
 """Import-declaration data model, CSV ingestion, and synthetic worlds.
 
 A CountryDataset is an immutable, chronologically sorted collection of
-ImportDeclaration records plus a sealed side table of ground-truth labels.
-Training code only ever sees the visible labels on the records; evaluation
-reads the sealed table, so masking labels can never leak into scoring.
+ImportDeclaration records plus the sealed records behind them: the same
+records with their labels unmasked, in the same order. Training code only
+ever sees the visible labels on the records; evaluation reads the sealed
+records, so masking labels can never leak into scoring.
 
 The synthetic world generator stands in for real customs data: frauds are
 injected as (HS6 bucket x origin) pattern conjunctions with an
@@ -17,9 +18,10 @@ import csv
 import math
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date as Date
 from datetime import timedelta
+from itertools import compress
 
 import numpy as np
 
@@ -98,24 +100,17 @@ class CountryDataset:
     records: tuple[ImportDeclaration, ...]
     hs6_vocab: dict[str, int]
     country_vocab: dict[str, int]
-    # ground truth kept aside for evaluation, even when record labels are masked
-    sealed: dict[int, tuple[bool, float]]
+    # ground truth for evaluation: sealed[i] is records[i] with its labels
+    # unmasked, and the same tuple as `records` until mask_labels hides labels
+    sealed: tuple[ImportDeclaration, ...]
 
     @staticmethod
-    def build(
-        country_id: str,
-        records,
-        sealed: dict[int, tuple[bool, float]] | None = None,
-    ) -> "CountryDataset":
+    def build(country_id: str, records) -> "CountryDataset":
         recs = tuple(sorted(records, key=lambda r: (r.date, r.id)))
         ids = [r.id for r in recs]
         if len(set(ids)) != len(ids):
             raise SchemaError(f"dataset {country_id}: duplicate record ids")
-        if sealed is None:
-            sealed = {r.id: (r.illicit, r.revenue) for r in recs if r.illicit is not None}
-        hs6_vocab = {h: i for i, h in enumerate(sorted({r.hs6 for r in recs}))}
-        country_vocab = {c: i for i, c in enumerate(sorted({r.country_code for r in recs}))}
-        return CountryDataset(country_id, recs, hs6_vocab, country_vocab, dict(sealed))
+        return _with_vocabs(country_id, recs, recs)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -124,9 +119,17 @@ class CountryDataset:
         return tuple(r for r in self.records if r.illicit is not None)
 
     def subset(self, keep) -> "CountryDataset":
-        recs = [r for r in self.records if keep(r)]
-        sealed = {r.id: self.sealed[r.id] for r in recs if r.id in self.sealed}
-        return CountryDataset.build(self.country_id, recs, sealed)
+        """The records that `keep` accepts, each with its sealed record."""
+        kept = [keep(r) for r in self.records]
+        recs = tuple(compress(self.records, kept))
+        sealed = recs if self.sealed is self.records else tuple(compress(self.sealed, kept))
+        return _with_vocabs(self.country_id, recs, sealed)
+
+
+def _with_vocabs(country_id: str, recs: tuple, sealed: tuple) -> CountryDataset:
+    hs6_vocab = {h: i for i, h in enumerate(sorted({r.hs6 for r in recs}))}
+    country_vocab = {c: i for i, c in enumerate(sorted({r.country_code for r in recs}))}
+    return CountryDataset(country_id, recs, hs6_vocab, country_vocab, sealed)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +440,8 @@ def mask_labels(ds: CountryDataset, fraction: float, seed: int) -> CountryDatase
 
     Selection is class-stratified (proportional, at least one record per
     present class when the budget allows) so tiny label budgets still carry
-    both classes. Ground truth stays in the sealed table for evaluation.
+    both classes. Ground truth stays in `sealed` for evaluation; the result
+    shares it and both vocabularies with `ds`.
     """
     if not 0 < fraction <= 1:
         raise DataError(f"label fraction {fraction} out of (0, 1]")
@@ -463,8 +467,8 @@ def mask_labels(ds: CountryDataset, fraction: float, seed: int) -> CountryDatase
         if quota > 0:
             order = rng.permutation(len(pool))
             chosen.update(pool[j] for j in order[:quota])
-    records = [r if i in chosen else _hidden(r) for i, r in enumerate(ds.records)]
-    return CountryDataset.build(ds.country_id, records, sealed=dict(ds.sealed))
+    records = tuple(r if i in chosen else _hidden(r) for i, r in enumerate(ds.records))
+    return replace(ds, records=records)
 
 
 # each field's slot descriptor; a hidden twin copies all but the two labels

@@ -178,8 +178,8 @@ def embed_batch(
     feats: np.ndarray,
     hs6_idx: np.ndarray,
     cty_idx: np.ndarray,
-) -> tuple[Tensor, Tensor, Tensor | None, Tensor]:
-    """Forward pass to (p, q, g, h) tensors for a batch."""
+) -> Tensor:
+    """Forward pass to the fused representations h, shape (N, d), for a batch."""
     t = params.tensors
     f = Tensor(feats)
     p = nm.tanh(
@@ -205,10 +205,8 @@ def embed_batch(
         g = nm.add(nm.matmul(pooled, t["w_pool"]), t["b_pool"])
         z = nm.concat([p, g], axis=1)
     else:
-        g = None
         z = nm.concat([p, q], axis=1)
-    h = nm.relu(nm.add(nm.matmul(z, t["w_fuse"]), t["b_fuse"]))
-    return p, q, g, h
+    return nm.relu(nm.add(nm.matmul(z, t["w_fuse"]), t["b_fuse"]))
 
 
 def score_batch(params: EncoderParams, h: Tensor) -> Tensor:
@@ -240,15 +238,13 @@ def forward_rows(params: EncoderParams, records, forward, width: int) -> np.ndar
 
 def embed_matrix(params: EncoderParams, records) -> np.ndarray:
     """Fused representations h for many records."""
-    return forward_rows(
-        params, records, lambda *x: embed_batch(params, *x)[3], params.config.d
-    )
+    return forward_rows(params, records, lambda *x: embed_batch(params, *x), params.config.d)
 
 
 def score_records(params: EncoderParams, records) -> np.ndarray:
     """Fraud scores for many records."""
     return forward_rows(
-        params, records, lambda *x: score_batch(params, embed_batch(params, *x)[3]), 1
+        params, records, lambda *x: score_batch(params, embed_batch(params, *x)), 1
     )[:, 0]
 
 

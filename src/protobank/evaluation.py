@@ -59,10 +59,10 @@ def revenue_at_k(scores, test: CountryDataset, rate: float = 0.05) -> float:
     if scores.shape != (n,):
         raise DataError(f"got {scores.shape[0] if scores.ndim else 0} scores for {n} records")
     revenues = np.empty(n)
-    for i, r in enumerate(test.records):
-        if r.id not in test.sealed:
+    for i, r in enumerate(test.sealed):
+        if r.revenue is None:
             raise DataError(f"record {r.id} has no sealed label")
-        revenues[i] = test.sealed[r.id][1]
+        revenues[i] = r.revenue
     total = revenues.sum()
     if total <= 0:
         raise MetricError("total collectible revenue is zero; metric undefined")
@@ -120,10 +120,6 @@ class ScenarioReport:
     config: ScenarioConfig
     revenues: tuple[float, ...]  # one Revenue@k per seed, in config.seeds order
     wall_time_s: float
-
-    @property
-    def scenario(self) -> str:
-        return self.config.name
 
     @property
     def mean(self) -> float:
@@ -331,7 +327,7 @@ def emit_report(reports: list[ScenarioReport], out_dir=None) -> tuple[str, str]:
         (root / "summary.csv").write_text(csv_text, encoding="utf-8")
         (root / "summary.json").write_text(json_text, encoding="utf-8")
         for rep in reports:
-            sub = root / rep.scenario
+            sub = root / rep.config.name
             sub.mkdir(parents=True, exist_ok=True)
             (sub / "report.csv").write_text(_reports_csv([rep]), encoding="utf-8")
             (sub / "report.json").write_text(_reports_json([rep]), encoding="utf-8")

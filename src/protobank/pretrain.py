@@ -133,9 +133,7 @@ def valid_metric(scores: np.ndarray, valid: CountryDataset) -> tuple[float, bool
     try:
         return revenue_at_k(scores, valid, 0.05), True
     except (MetricError, DataError):
-        labels = np.array(
-            [1.0 if valid.sealed.get(r.id, (False,))[0] else 0.0 for r in valid.records]
-        )
+        labels = np.array([1.0 if r.illicit else 0.0 for r in valid.sealed])
         p = np.clip(scores, 1e-12, 1 - 1e-12)
         return float(np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))), False
 
@@ -196,7 +194,7 @@ def pretrain(
     feats, hs6_idx, cty_idx = batch_inputs(params, labeled)
 
     def batch_loss(idx):
-        _, _, _, h = embed_batch(params, feats[idx], hs6_idx[idx], cty_idx[idx])
+        h = embed_batch(params, feats[idx], hs6_idx[idx], cty_idx[idx])
         scl_val, scl_part = 0.0, None
         if cfg.scl_weight and len(idx) >= 2:
             scl = scl_loss(h, y[idx], cfg.tau)

@@ -26,7 +26,7 @@ from protobank.adapt import (
     save_adapt,
     target_forward,
 )
-from protobank.bank import assemble, bank_service, BankClient, extract_prototypes, kmeans
+from protobank.bank import assemble, BankClient, BankServer, extract_prototypes, kmeans
 from protobank.cli import main as cli_main
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.declarations import (
@@ -54,8 +54,9 @@ from protobank.evaluation import (
     revenue_at_k,
     two_country_world_config,
 )
-from protobank.numerics import Tensor, grad_check
+from protobank.numerics import Tensor
 from protobank.pretrain import PretrainConfig, pretrain, scl_loss, select_fraud_like
+from tests.gradcheck import grad_check
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -283,7 +284,7 @@ def test_criterion_04_serialization_and_exchange(tmp_path):
         except FormatError:
             pass
 
-    server = bank_service(tmp_path / "store")
+    server = BankServer(tmp_path / "store")
     server.serve_background()
     try:
         blobs = {

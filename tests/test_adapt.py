@@ -23,7 +23,8 @@ from protobank.container import PrototypeSet
 from protobank.declarations import SplitSpec, split
 from protobank.encoder import EncoderConfig, batch_inputs, save_encoder
 from protobank.errors import DataError, NumericError, ShapeError
-from protobank.numerics import Tensor, grad_check
+from protobank.numerics import Tensor
+from tests.gradcheck import grad_check
 from tests.test_declarations import make_dataset
 from tests.test_encoder import small_params, world_params, world_records
 from tests.test_pretrain import nan_after, separable_dataset

@@ -18,9 +18,9 @@ from protobank.bank import (
     OP_LIST,
     OP_PUT,
     BankClient,
+    BankServer,
     BankStore,
     assemble,
-    bank_service,
     extract_prototypes,
     kmeans,
     random_bank,
@@ -308,11 +308,7 @@ class TestExtractPrototypes:
         proto_a = extract_prototypes(self.params, self.train, per_class=7, seed=3)
         from protobank.declarations import CountryDataset
 
-        shuffled = CountryDataset.build(
-            self.train.country_id,
-            list(reversed(self.train.records)),
-            dict(self.train.sealed),
-        )
+        shuffled = CountryDataset.build(self.train.country_id, list(reversed(self.train.records)))
         proto_b = extract_prototypes(self.params, shuffled, per_class=7, seed=3)
         assert np.array_equal(proto_a.fraud_prototypes, proto_b.fraud_prototypes)
         assert np.array_equal(proto_a.nonfraud_prototypes, proto_b.nonfraud_prototypes)
@@ -410,7 +406,7 @@ class TestSerialization:
 class TestBankService:
     @pytest.fixture()
     def server(self, tmp_path):
-        srv = bank_service(tmp_path / "store")
+        srv = BankServer(tmp_path / "store")
         srv.serve_background()
         yield srv
         srv.shutdown()

@@ -28,7 +28,8 @@ from protobank.encoder import (
     standardize_stats,
 )
 from protobank.errors import DataError
-from protobank.numerics import Tensor, grad_check
+from protobank.numerics import Tensor
+from tests.gradcheck import grad_check
 from tests.test_declarations import make_dataset, make_record
 from tests.test_numerics import single_pass_softmax
 
@@ -169,7 +170,7 @@ class TestGradients:
             saved = params.tensors[tensor_name]
             params.tensors[tensor_name] = t
             try:
-                _, _, _, h = embed_batch(params, feats, hs6_idx, cty_idx)
+                h = embed_batch(params, feats, hs6_idx, cty_idx)
                 return nm.bce(score_batch(params, h), labels)
             finally:
                 params.tensors[tensor_name] = saved
@@ -259,8 +260,7 @@ def single_pass_embed(params, feats, hs6_idx, cty_idx):
     pooled = nm.reduce_mean(conv, axis=(2, 3))
     g = nm.add(nm.matmul(pooled, t["w_pool"]), t["b_pool"])
     z = nm.concat([p, g], axis=1)
-    h = nm.relu(nm.add(nm.matmul(z, t["w_fuse"]), t["b_fuse"]))
-    return p, q, g, h
+    return nm.relu(nm.add(nm.matmul(z, t["w_fuse"]), t["b_fuse"]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -324,7 +324,7 @@ class TestBlockedInteraction:
         records = world_records().records[:300]
         params = world_params()
         with nm.no_grad():
-            want = single_pass_embed(params, *batch_inputs(params, records))[3].data
+            want = single_pass_embed(params, *batch_inputs(params, records)).data
         if block != "default":
             monkeypatch.setattr(encoder, "_INTERACTION_BLOCK", block)
         assert embed_matrix(params, records).tobytes() == want.tobytes()
@@ -337,7 +337,7 @@ class TestBlockedInteraction:
         runs = []
         for forward in (embed_batch, single_pass_embed):
             params = base.copy()
-            h = forward(params, *inputs)[3]
+            h = forward(params, *inputs)
             loss = nm.reduce_sum(nm.mul(h, weights))
             loss.backward()
             grads = {k: t.grad.tobytes() for k, t in params.tensors.items() if t.grad is not None}

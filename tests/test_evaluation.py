@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from protobank.declarations import CountryDataset, CountrySpec, SyntheticWorldConfig, generate_world
+from protobank.declarations import (
+    CountryDataset,
+    CountrySpec,
+    SplitSpec,
+    SyntheticWorldConfig,
+    generate_world,
+    mask_labels,
+    split,
+)
 from protobank import evaluation
 from protobank._version import __version__
 from protobank.encoder import EncoderConfig
@@ -100,6 +108,30 @@ class TestRevenueAtK:
         with pytest.raises(DataError):
             revenue_at_k(np.zeros(2), good, 0.0)
 
+    def test_unlabeled_record_has_no_sealed_label(self):
+        unlabeled = dataclasses.replace(make_record(1, day=1), illicit=None, revenue=None)
+        ds = CountryDataset.build("EV", [make_record(0, illicit=True, revenue=2.0), unlabeled])
+        with pytest.raises(DataError, match="record 1 has no sealed label"):
+            revenue_at_k(np.zeros(2), ds, 0.5)
+
+    def test_masking_and_subsetting_keep_truth_aligned(self):
+        revs = [float(i + 1) if i % 3 == 0 else 0.0 for i in range(90)]
+        records = [
+            make_record(i, day=i % 30, illicit=rev > 0, revenue=rev) for i, rev in enumerate(revs)
+        ]
+        ds = CountryDataset.build("EV", records)
+        masked = mask_labels(ds, 0.1, 4)
+        truth = {r.id: r for r in ds.records}
+        scores = np.random.default_rng(0).normal(size=len(ds))
+        spec = SplitSpec(10, 5)
+        for plain, part in zip(split(ds, spec).values(), split(masked, spec).values()):
+            assert [s.id for s in part.sealed] == [r.id for r in part.records]
+            assert all(s is truth[s.id] for s in part.sealed)  # the unmasked records
+            pairs = zip(part.records, part.sealed)
+            assert any(r.illicit is None and s.illicit for r, s in pairs)  # hidden frauds
+            got = scores[: len(part)]
+            assert revenue_at_k(got, part, 0.2) == revenue_at_k(got, plain, 0.2)
+
 
 class TestEmitReport:
     def _report(self, target="B", seeds=(0, 1)):
@@ -136,13 +168,12 @@ class TestEmitReport:
         emit_report([rep], tmp_path)
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "summary.json").exists()
-        assert (tmp_path / rep.scenario / "report.csv").exists()
-        assert (tmp_path / rep.scenario / "report.json").exists()
+        assert (tmp_path / rep.config.name / "report.csv").exists()
+        assert (tmp_path / rep.config.name / "report.json").exists()
 
     def test_report_fields_come_from_its_config(self):
         rep = self._report(seeds=(0, 1, 2))
         assert [f.name for f in dataclasses.fields(rep)] == ["config", "revenues", "wall_time_s"]
-        assert rep.scenario == rep.config.name
         assert (rep.mean, rep.stdev) == (float(np.mean(rep.revenues)), float(np.std(rep.revenues)))
         payload = json.loads(emit_report([rep])[1])
         assert payload["version"] == __version__

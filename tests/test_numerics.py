@@ -6,7 +6,8 @@ import pytest
 
 from protobank import numerics as nm
 from protobank.errors import NumericError, ShapeError
-from protobank.numerics import OptimizerState, Tensor, grad_check, opt_step, zero_grads
+from protobank.numerics import OptimizerState, Tensor, opt_step, zero_grads
+from tests.gradcheck import grad_check
 
 
 def test_softmax_uniform():
@@ -529,7 +530,7 @@ def _numerics_callers() -> set[str]:
 
 def test_every_public_op_has_a_caller():
     # an operator nothing in the package calls is dead surface; the benchmark's
-    # traced names count as callers, and grad_check is the one test-only helper
+    # traced names count as callers
     import inspect
 
     from tests.test_traced_names import _spans
@@ -540,6 +541,6 @@ def test_every_public_op_has_a_caller():
         name for name, f in inspect.getmembers(nm, inspect.isfunction)
         if f.__module__ == nm.__name__ and not name.startswith("_")
     }
-    unused = public - _numerics_callers() - set(spans.NUMERIC_OPS) - traced - {"grad_check"}
+    unused = public - _numerics_callers() - set(spans.NUMERIC_OPS) - traced
     assert not unused, f"public numerics functions with no caller in src/: {sorted(unused)}"
     assert not {"__add__", "__sub__", "__mul__", "__matmul__", "__neg__"} & set(vars(Tensor))

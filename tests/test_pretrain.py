@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from protobank.adapt import FinetuneConfig
-from protobank.declarations import CountryDataset, SplitSpec, split
+from protobank.declarations import CountryDataset, SplitSpec, mask_labels, split
 from protobank.encoder import EncoderConfig, embed_matrix, score_records
 from protobank.errors import DataError, NumericError
 from protobank.numerics import Tensor
@@ -18,6 +18,7 @@ from protobank.pretrain import (
     scl_loss,
     select_fraud_like,
     stratified_batches,
+    valid_metric,
 )
 from tests.test_declarations import make_record
 
@@ -86,7 +87,7 @@ class TestSclLoss:
             assert scl_loss(Tensor(h), y, 0.07).item() >= 0.0
 
     def test_gradient_matches_finite_differences(self):
-        from protobank.numerics import grad_check
+        from tests.gradcheck import grad_check
 
         rng = np.random.default_rng(3)
         h = rng.normal(size=(8, 5))
@@ -347,6 +348,17 @@ class TestFit:
         empty = parts["valid"].subset(lambda r: False)
         with pytest.raises(DataError, match="validation split is empty"):
             self._run(empty, lambda m, records: np.zeros(0))
+
+    def test_bce_fallback_reads_sealed_labels(self):
+        # frauds without revenue leave Revenue@k undefined; masking hides the
+        # labels the -BCE fallback would read if it looked at the records
+        records = [make_record(i, day=i, illicit=i % 3 == 0, revenue=0.0) for i in range(30)]
+        ds = CountryDataset.build("VM", records)
+        scores = np.linspace(0.05, 0.95, 30)
+        y = np.array([1.0 if r.illicit else 0.0 for r in ds.records])
+        want = float(np.mean(y * np.log(scores) + (1 - y) * np.log(1 - scores)))
+        assert valid_metric(scores, ds) == (want, False)
+        assert valid_metric(scores, mask_labels(ds, 0.1, 0)) == (want, False)
 
 
 def _silhouette(h: np.ndarray, labels: np.ndarray) -> float:

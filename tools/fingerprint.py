@@ -17,8 +17,11 @@ target's test split, except the 2000-row bank model's, which are over all
 `randommem` suites on a 1400-record two-country world. Its first line
 digests every field of every record of the generated target country, and
 of the records `load_csv` reads back after `write_csv` wrote the whole
-world. Only public API is used, and BLAS runs on one thread so the
-floating-point sums are ordered.
+world. Each seed's `mask` line digests every field of the target's masked
+training records and gives Revenue@5% of fixed scores on them and on a
+subset of them; both read the ground truth behind the masked labels. Only
+public API is used, and BLAS runs on one thread so the floating-point sums
+are ordered.
 """
 
 from __future__ import annotations
@@ -94,6 +97,16 @@ def data_line(world, tmp: Path) -> str:
     return f"data generate_world {generated} load_csv {sha(record_bytes(loaded))}"
 
 
+def mask_line(train, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    half = train.subset(lambda r: r.id % 2 == 0)
+    return (
+        f"seed{seed} mask {sha(record_bytes(train.records))}"
+        f" revenue_at_k {pb.revenue_at_k(rng.random(len(train)), train).hex()}"
+        f" subset {pb.revenue_at_k(rng.random(len(half)), half).hex()}"
+    )
+
+
 def model_lines(name: str, model, curve, test) -> list[str]:
     if isinstance(model, EncoderParams):
         blob, scores = save_encoder(model), score_records(model, test.records)
@@ -122,6 +135,7 @@ def stage_lines(world, seed: int) -> list[str]:
     fraud_like = pb.select_fraud_like(source, src["train"], 0.05)
     bank = pb.assemble([pb.extract_prototypes(source, fraud_like, 50, seed=seed)])
     train = pb.mask_labels(tgt["train"], 0.01, seed)
+    lines.append(mask_line(train, seed))
     mem_cfg = pb.FinetuneConfig(epochs=3, seed=seed, init_from_source=True, use_memory=True)
     memory, curve = pb.finetune(train, tgt["valid"], bank, source, mem_cfg)
     lines += model_lines(f"seed{seed} finetune_memory", memory, curve, test)
