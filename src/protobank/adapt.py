@@ -24,6 +24,7 @@ from .encoder import (
     EncoderParams,
     batch_inputs,
     check_tensors,
+    copy_tensors,
     draw_tensors,
     embed_batch,
     embed_matrix,
@@ -31,7 +32,6 @@ from .encoder import (
     encoder_meta,
     forward_rows,
     score_batch,
-    standardize_stats,
 )
 from .encoder import score_records as encoder_scores
 from .errors import DataError, FormatError, ShapeError
@@ -80,16 +80,18 @@ class AdaptParams:
     use_calibration: bool = True
 
     @staticmethod
-    def init(encoder: EncoderParams, rng: np.random.Generator) -> "AdaptParams":
-        return AdaptParams(encoder, draw_tensors(rng, _adapt_specs(encoder.config.d)))
+    def init(
+        encoder: EncoderParams,
+        rng: np.random.Generator,
+        bank_matrix: np.ndarray | None = None,
+        use_calibration: bool = True,
+    ) -> "AdaptParams":
+        tensors = draw_tensors(rng, _adapt_specs(encoder.config.d))
+        return AdaptParams(encoder, tensors, bank_matrix, use_calibration)
 
     def copy(self) -> "AdaptParams":
-        return AdaptParams(
-            self.encoder.copy(),
-            {k: Tensor(t.data.copy(), requires_grad=True) for k, t in self.tensors.items()},
-            None if self.bank_matrix is None else self.bank_matrix.copy(),
-            self.use_calibration,
-        )
+        """Fresh tensors; the encoder's frozen context and the bank are shared."""
+        return replace(self, encoder=self.encoder.copy(), tensors=copy_tensors(self.tensors))
 
     def all_tensors(self) -> dict[str, Tensor]:
         return {**self.encoder.tensors, **self.tensors}
@@ -144,12 +146,11 @@ def target_forward(
     feats: np.ndarray,
     hs6_idx: np.ndarray,
     cty_idx: np.ndarray,
-    bank_rows: np.ndarray | None,
 ) -> tuple[Tensor, Tensor]:
     """Score a batch through embed -> attend -> calibrate -> refine -> head."""
     h = embed_batch(params.encoder, feats, hs6_idx, cty_idx)
-    if bank_rows is not None:
-        h_ts, _ = memory_attend(h, bank_rows)
+    if params.bank_matrix is not None:
+        h_ts, _ = memory_attend(h, params.bank_matrix)
         h_bar = calibrate(params, h, h_ts)[0] if params.use_calibration else h_ts
         h_hat = refine(h, h_bar)
     else:
@@ -160,7 +161,7 @@ def target_forward(
 def score_records(params: AdaptParams, records) -> np.ndarray:
     """Fraud scores for many records through the full target model."""
     return forward_rows(
-        params.encoder, records, lambda *x: target_forward(params, *x, params.bank_matrix)[0], 1
+        params.encoder, records, lambda *x: target_forward(params, *x)[0], 1
     )[:, 0]
 
 
@@ -169,6 +170,7 @@ def _init_model(
     source_params: EncoderParams | None,
     cfg: FinetuneConfig,
     rng: np.random.Generator,
+    memory: MemoryBank | None = None,
 ) -> AdaptParams:
     if cfg.init_from_source:
         if source_params is None:
@@ -177,14 +179,11 @@ def _init_model(
         # class priors differ across countries; the head restarts fresh
         enc.reinit_head(rng)
     else:
-        enc = EncoderParams.init(
-            rng,
-            target_train.hs6_vocab,
-            target_train.country_vocab,
-            standardize_stats(target_train),
-            cfg.encoder,
-        )
-    return AdaptParams.init(enc, rng)
+        enc = EncoderParams.from_split(rng, target_train, cfg.encoder)
+    bank = memory.matrix() if cfg.use_memory and memory else None  # None or empty: no memory
+    if bank is not None and bank.shape[1] != enc.config.d:
+        raise ShapeError(f"bank dimension {bank.shape[1]} != representation width {enc.config.d}")
+    return AdaptParams.init(enc, rng, bank, cfg.use_calibration)
 
 
 def finetune(
@@ -202,18 +201,11 @@ def finetune(
     """
     labeled, y = labeled_targets(target_train, "fine-tuning")
     rng = np.random.default_rng(cfg.seed)
-    params = _init_model(target_train, source_params, cfg, rng)
-    use_memory = cfg.use_memory and memory is not None and len(memory) > 0
-    bank = params.bank_matrix = memory.matrix() if use_memory else None
-    if bank is not None and bank.shape[1] != params.encoder.config.d:
-        raise ShapeError(
-            f"bank dimension {bank.shape[1]} != representation width {params.encoder.config.d}"
-        )
-    params.use_calibration = cfg.use_calibration
+    params = _init_model(target_train, source_params, cfg, rng, memory)
     feats, hs6_idx, cty_idx = batch_inputs(params.encoder, labeled)
 
     def batch_loss(idx):
-        pred, _ = target_forward(params, feats[idx], hs6_idx[idx], cty_idx[idx], bank)
+        pred, _ = target_forward(params, feats[idx], hs6_idx[idx], cty_idx[idx])
         loss = nm.bce(pred, Tensor(y[idx].astype(np.float64).reshape(-1, 1)))
         bce_val = loss.item()
         if extra_loss is not None:

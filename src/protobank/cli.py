@@ -81,9 +81,14 @@ def _parse_address(text: str) -> tuple[str, int]:
 # ---------------------------------------------------------------------------
 # world config files (flat key=value)
 
+# top-level keys and their types; a key the file omits takes the dataclass default
+_WORLD_KEYS = {"seed": int, "n_hs6": int, "n_shared_patterns": int, "pattern_strength": float}
+_COUNTRY_FIELDS = ("n_records", "duration_days", "base_illicit_rate", "fraud_patterns")
+
 
 def parse_world_config(text: str) -> SyntheticWorldConfig:
-    """Flat key=value format; country fields are country.<id>.<field>."""
+    """Flat key=value format; country fields are country.<id>.<field>.
+    DataError on a key that is neither, naming its line."""
     top: dict[str, str] = {}
     per_country: dict[str, dict[str, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -98,9 +103,12 @@ def parse_world_config(text: str) -> SyntheticWorldConfig:
                 _, cid, field = key.split(".", 2)
             except ValueError:
                 raise DataError(f"world config line {lineno}: bad country key {key!r}") from None
-            per_country.setdefault(cid, {})[field] = value
+            known, into = _COUNTRY_FIELDS, per_country.setdefault(cid, {})
         else:
-            top[key] = value
+            field, known, into = key, _WORLD_KEYS, top
+        if field not in known:
+            raise DataError(f"world config line {lineno}: unknown key {key!r}")
+        into[field] = value
     if not per_country:
         raise DataError("world config defines no countries")
     try:
@@ -116,13 +124,8 @@ def parse_world_config(text: str) -> SyntheticWorldConfig:
             )
             for cid, fields in per_country.items()
         )
-        return SyntheticWorldConfig(
-            seed=int(top.get("seed", "0")),
-            countries=countries,
-            n_hs6=int(top.get("n_hs6", "40")),
-            n_shared_patterns=int(top.get("n_shared_patterns", "2")),
-            pattern_strength=float(top.get("pattern_strength", "0.8")),
-        )
+        given = {key: _WORLD_KEYS[key](value) for key, value in {"seed": "0", **top}.items()}
+        return SyntheticWorldConfig(countries=countries, **given)
     except KeyError as e:
         raise DataError(f"world config missing country field {e}") from None
     except ValueError as e:

@@ -98,8 +98,6 @@ class CountryDataset:
 
     country_id: str
     records: tuple[ImportDeclaration, ...]
-    hs6_vocab: dict[str, int]
-    country_vocab: dict[str, int]
     # ground truth for evaluation: sealed[i] is records[i] with its labels
     # unmasked, and the same tuple as `records` until mask_labels hides labels
     sealed: tuple[ImportDeclaration, ...]
@@ -110,7 +108,7 @@ class CountryDataset:
         ids = [r.id for r in recs]
         if len(set(ids)) != len(ids):
             raise SchemaError(f"dataset {country_id}: duplicate record ids")
-        return _with_vocabs(country_id, recs, recs)
+        return CountryDataset(country_id, recs, recs)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -123,13 +121,7 @@ class CountryDataset:
         kept = [keep(r) for r in self.records]
         recs = tuple(compress(self.records, kept))
         sealed = recs if self.sealed is self.records else tuple(compress(self.sealed, kept))
-        return _with_vocabs(self.country_id, recs, sealed)
-
-
-def _with_vocabs(country_id: str, recs: tuple, sealed: tuple) -> CountryDataset:
-    hs6_vocab = {h: i for i, h in enumerate(sorted({r.hs6 for r in recs}))}
-    country_vocab = {c: i for i, c in enumerate(sorted({r.country_code for r in recs}))}
-    return CountryDataset(country_id, recs, hs6_vocab, country_vocab, sealed)
+        return CountryDataset(self.country_id, recs, sealed)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,7 @@ class SyntheticWorldConfig:
     seed: int
     countries: tuple[CountrySpec, ...]
     n_hs6: int = 40
-    n_shared_patterns: int = 2
+    n_shared_patterns: int = 0  # inert: generate_world never reads it
     pattern_strength: float = 0.8
 
     def __post_init__(self) -> None:
@@ -441,7 +433,7 @@ def mask_labels(ds: CountryDataset, fraction: float, seed: int) -> CountryDatase
     Selection is class-stratified (proportional, at least one record per
     present class when the budget allows) so tiny label budgets still carry
     both classes. Ground truth stays in `sealed` for evaluation; the result
-    shares it and both vocabularies with `ds`.
+    shares it with `ds`.
     """
     if not 0 < fraction <= 1:
         raise DataError(f"label fraction {fraction} out of (0, 1]")

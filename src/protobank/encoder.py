@@ -17,7 +17,7 @@ learned "unknown" row of each embedding table.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -135,19 +135,29 @@ class EncoderParams:
         config: EncoderConfig = EncoderConfig(),
     ) -> "EncoderParams":
         tensors = draw_tensors(rng, tensor_specs(config, len(hs6_vocab), len(country_vocab)))
-        return EncoderParams(config, dict(hs6_vocab), dict(country_vocab), stats, tensors)
+        return EncoderParams(config, hs6_vocab, country_vocab, stats, tensors)
+
+    @staticmethod
+    def from_split(
+        rng: np.random.Generator, train: CountryDataset, config: EncoderConfig = EncoderConfig()
+    ) -> "EncoderParams":
+        """A fresh encoder fitted to a train split: its sorted distinct HS6 codes
+        and origins, and its feature statistics."""
+        recs = train.records
+        hs6_vocab = _vocab_from_list(sorted({r.hs6 for r in recs}))
+        country_vocab = _vocab_from_list(sorted({r.country_code for r in recs}))
+        return EncoderParams.init(rng, hs6_vocab, country_vocab, standardize_stats(train), config)
 
     def reinit_head(self, rng: np.random.Generator) -> None:
         self.tensors.update(draw_tensors(rng, _head_specs(self.config.d)))
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.config,
-            dict(self.hs6_vocab),
-            dict(self.country_vocab),
-            FeatureStats(self.stats.mean.copy(), self.stats.std.copy()),
-            {k: Tensor(t.data.copy(), requires_grad=True) for k, t in self.tensors.items()},
-        )
+        """Fresh tensors; the frozen context (config, vocabularies, stats) is shared."""
+        return replace(self, tensors=copy_tensors(self.tensors))
+
+
+def copy_tensors(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
+    return {k: Tensor(t.data.copy(), requires_grad=True) for k, t in tensors.items()}
 
 
 def batch_inputs(params: EncoderParams, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from .encoder import (
     embed_batch,
     score_batch,
     score_records,
-    standardize_stats,
 )
 from .errors import DataError, MetricError, NumericError
 from .numerics import OptimizerState, Tensor
@@ -188,9 +187,7 @@ def pretrain(
     """Train the encoder on labeled source records; keep the best-validation epoch."""
     labeled, y = labeled_targets(ds_train, "pretraining")
     rng = np.random.default_rng(cfg.seed)
-    params = EncoderParams.init(
-        rng, ds_train.hs6_vocab, ds_train.country_vocab, standardize_stats(ds_train), cfg.encoder
-    )
+    params = EncoderParams.from_split(rng, ds_train, cfg.encoder)
     feats, hs6_idx, cty_idx = batch_inputs(params, labeled)
 
     def batch_loss(idx):

@@ -141,7 +141,7 @@ def test_criterion_01_gradient_correctness():
         records = _random_records(rng, n)
         feats, hi, ci = batch_inputs(params.encoder, records)
         y = Tensor(np.array([[1.0 if r.illicit else 0.0] for r in records]))
-        bank_rows = rng.normal(size=(int(rng.integers(2, 5)), d))
+        bank_rows = params.bank_matrix = rng.normal(size=(int(rng.integers(2, 5)), d))
 
         # embed -> attend -> calibrate -> refine -> score -> bce, by parameter
         name = probe_names[seed % len(probe_names)]
@@ -151,7 +151,7 @@ def test_criterion_01_gradient_correctness():
             saved = holder[name]
             holder[name] = t
             try:
-                pred, _ = target_forward(params, feats, hi, ci, bank_rows)
+                pred, _ = target_forward(params, feats, hi, ci)
                 return nm.bce(pred, y)
             finally:
                 holder[name] = saved

@@ -21,7 +21,7 @@ from protobank.adapt import (
 from protobank.bank import assemble
 from protobank.container import PrototypeSet
 from protobank.declarations import SplitSpec, split
-from protobank.encoder import EncoderConfig, batch_inputs, save_encoder
+from protobank.encoder import EncoderConfig, EncoderParams, batch_inputs, save_encoder
 from protobank.errors import DataError, NumericError, ShapeError
 from protobank.numerics import Tensor
 from tests.gradcheck import grad_check
@@ -107,10 +107,8 @@ def world():
 
 
 def world_model(world, bank_rows: int) -> AdaptParams:
-    model = AdaptParams.init(world[0], np.random.default_rng(1))
-    d = model.encoder.config.d
-    model.bank_matrix = np.random.default_rng(bank_rows).normal(size=(bank_rows, d))
-    return model
+    bank = np.random.default_rng(bank_rows).normal(size=(bank_rows, world[0].config.d))
+    return AdaptParams.init(world[0], np.random.default_rng(1), bank)
 
 
 class TestLogitsOverwrite:
@@ -276,7 +274,7 @@ class TestFinetune:
         labeled = parts["train"].labeled()
         feats, hi, ci = batch_inputs(params.encoder, labeled)
         y = Tensor(np.array([[1.0 if r.illicit else 0.0] for r in labeled]))
-        pred, _ = target_forward(params, feats, hi, ci, None)
+        pred, _ = target_forward(params, feats, hi, ci)
         nm.zero_grads(params.all_tensors())
         nm.bce(pred, y).backward()
         for name in params.tensors:
@@ -317,6 +315,37 @@ class TestFinetune:
         model.bank_matrix = None
         without = score_records(model, parts["test"].records)
         assert not np.allclose(with_bank, without)
+
+    def test_copy_shares_bank_and_context_with_fresh_tensors(self):
+        enc = small_params(seed=1, config=EncoderConfig(k=4, d=6, n_kernels=2))
+        model = AdaptParams.init(enc, np.random.default_rng(1), small_bank(dim=6).matrix(), False)
+        twin = model.copy()
+        assert twin.bank_matrix is model.bank_matrix and twin.use_calibration is False
+        assert twin.encoder.stats is enc.stats and twin.encoder.hs6_vocab is enc.hs6_vocab
+        assert twin.all_tensors().keys() == model.all_tensors().keys()
+        for name, t in model.all_tensors().items():
+            fresh = twin.all_tensors()[name]
+            assert fresh is not t and not np.shares_memory(fresh.data, t.data)
+            assert fresh.data.tobytes() == t.data.tobytes()
+
+    def test_memory_finetune_keeps_bank_and_split_context(self, monkeypatch):
+        parts = self._parts()
+        bank = small_bank(dim=8, rows=6, seed=4)
+        rng = np.random.default_rng(0)
+        fresh = EncoderParams.from_split(rng, parts["train"], SMALL_FT.encoder)
+
+        def context(m):
+            enc = m.encoder
+            vocabs = list(enc.hs6_vocab.items()), list(enc.country_vocab.items())
+            return m.bank_matrix.tobytes(), vocabs, enc.stats.mean.tobytes(), enc.stats.std.tobytes()
+
+        # the context every copy shares, read each time `fit` copies the model
+        seen, copy = [], AdaptParams.copy
+        monkeypatch.setattr(AdaptParams, "copy", lambda m: (seen.append(context(m)), copy(m))[1])
+        model, _ = finetune(parts["train"], parts["valid"], bank, None, SMALL_FT)
+        want = context(AdaptParams(fresh, {}, bank.matrix()))
+        assert model.bank_matrix.shape == bank.matrix().shape
+        assert len(seen) >= 2 and all(c == want for c in seen + [context(model)])
 
     @pytest.mark.parametrize("op", ["tanh", "softmax", "sigmoid"])
     def test_nan_op_stops_finetuning_before_a_step(self, monkeypatch, op):
@@ -396,7 +425,7 @@ class TestEndToEndGradient:
     def test_full_composition(self, seed):
         rng = np.random.default_rng(seed)
         params = small_adapt(seed=seed)
-        bank_rows = rng.normal(size=(4, 6))
+        params.bank_matrix = rng.normal(size=(4, 6))
         ds = separable_dataset(n=8, seed=seed)
         feats, hi, ci = batch_inputs(params.encoder, ds.records)
         y = Tensor(np.array([[1.0 if r.illicit else 0.0] for r in ds.records]))
@@ -407,7 +436,7 @@ class TestEndToEndGradient:
             saved = holder[name]
             holder[name] = t
             try:
-                pred, _ = target_forward(params, feats, hi, ci, bank_rows)
+                pred, _ = target_forward(params, feats, hi, ci)
                 return nm.bce(pred, y)
             finally:
                 holder[name] = saved
@@ -473,5 +502,5 @@ class TestGraphFreeScoring:
         assert graphs and all(g == (None, ()) for g in graphs)
         assert {k: t.requires_grad for k, t in model.all_tensors().items()} == flags
         feats, hi, ci = batch_inputs(model.encoder, ds.records)
-        pred, _ = original(model, feats, hi, ci, model.bank_matrix)
+        pred, _ = original(model, feats, hi, ci)
         assert pred._vjp is not None  # training still records its graph

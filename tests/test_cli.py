@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import struct
 import subprocess
@@ -20,6 +21,7 @@ from protobank.container import (
     serialize,
     write_envelope,
 )
+from protobank.declarations import SyntheticWorldConfig, generate_world
 from protobank.errors import DataError
 from tests.test_pretrain import nan_after
 
@@ -94,6 +96,21 @@ class TestWorldConfig:
     def test_missing_field_rejected(self):
         with pytest.raises(DataError):
             parse_world_config("country.AA.n_records=1400")
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        # only pattern 0 is used, so the old parser default n_shared_patterns=2 was out of range
+        omitted = ("n_hs6", "n_shared_patterns", "pattern_strength")
+        text = "\n".join(ln for ln in WORLD_CFG.splitlines() if ln.split("=")[0] not in omitted)
+        cfg = parse_world_config(text)
+        assert cfg == SyntheticWorldConfig(5, cfg.countries)
+        assert cfg.n_shared_patterns == 0
+        (tmp_path / "world.cfg").write_text(text)
+        assert main(["gen", "--config", str(tmp_path / "world.cfg"), "--out", str(tmp_path)]) == 0
+
+    def test_n_shared_patterns_is_inert(self):
+        cfg = parse_world_config(WORLD_CFG)
+        a, b = (generate_world(dataclasses.replace(cfg, n_shared_patterns=n)) for n in (0, 1))
+        assert a.keys() == b.keys() and all(a[k].records == b[k].records for k in a)
 
 
 class TestGen:
@@ -220,6 +237,23 @@ class TestExitCodes:
         cfg.write_text(WORLD_CFG.replace(old, new))
         assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("pattern_strength=0.8", "pattern_strenght=0.2", 5),
+            ("country.AA.n_records=1400", "country.AA.n_recrods=1400", 6),
+        ],
+        ids=["top-level", "country-field"],
+    )
+    def test_unknown_world_config_key_is_data_error(self, tmp_path, capsys, old, new, line):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(WORLD_CFG.replace(old, new))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        key = new.split("=")[0]
+        assert f"data error: world config line {line}: unknown key {key!r}" in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):

@@ -23,9 +23,7 @@ VALID = {
     "pretrain": PretrainConfig(),
     "finetune": FinetuneConfig(),
     "scenario": ScenarioConfig("proto_single", "A", ("B",)),
-    "world": SyntheticWorldConfig(
-        0, (CountrySpec("AA", 1000, 100, 0.05, (0,)),), n_shared_patterns=0
-    ),
+    "world": SyntheticWorldConfig(0, (CountrySpec("AA", 1000, 100, 0.05, (0,)),)),
 }
 
 

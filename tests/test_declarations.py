@@ -87,12 +87,10 @@ class TestImportDeclaration:
 
 
 class TestDatasetBuild:
-    def test_sorted_and_vocab(self):
+    def test_sorted_by_date_then_id(self):
         records = [make_record(2, day=5), make_record(0, day=1), make_record(1, day=1, hs6="200002")]
         ds = CountryDataset.build("XX", records)
         assert [r.id for r in ds.records] == [0, 1, 2]
-        assert set(ds.hs6_vocab) == {"100001", "200002"}
-        assert all(r.hs6 in ds.hs6_vocab for r in ds.records)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SchemaError):
@@ -279,12 +277,10 @@ class TestMaskLabels:
             )
         assert masked.sealed == ds.sealed
 
-    def test_shares_sealed_and_vocabularies(self):
+    def test_shares_sealed(self):
         ds = make_dataset(40, n_days=20)
         masked = mask_labels(ds, 0.1, 2)
         assert masked.sealed is ds.sealed
-        assert masked.hs6_vocab is ds.hs6_vocab
-        assert masked.country_vocab is ds.country_vocab
 
     def test_keeps_both_classes_when_budget_allows(self):
         ds = make_dataset(100, n_days=25, fraud_every=10)

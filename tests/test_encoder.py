@@ -10,8 +10,10 @@ from protobank import numerics as nm
 from protobank.declarations import (
     CountryDataset,
     CountrySpec,
+    SplitSpec,
     SyntheticWorldConfig,
     generate_world,
+    split,
 )
 from protobank.encoder import (
     EncoderConfig,
@@ -58,10 +60,7 @@ class TestStats:
         # gross_weight is constant in the fixture
         assert stats.std[1] == 1e-6
         feats, _, _ = batch_inputs(
-            EncoderParams.init(
-                np.random.default_rng(0), ds.hs6_vocab, ds.country_vocab, stats, SMALL
-            ),
-            ds.records,
+            EncoderParams.from_split(np.random.default_rng(0), ds, SMALL), ds.records
         )
         assert np.allclose(feats[:, 1], 0.0)
 
@@ -74,9 +73,7 @@ class TestStats:
         ds = CountryDataset.build("XX", at_bound + [make_record(i) for i in range(3, 6)])
         stats = standardize_stats(ds)
         assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std))
-        params = EncoderParams.init(
-            np.random.default_rng(0), ds.hs6_vocab, ds.country_vocab, stats, SMALL
-        )
+        params = EncoderParams.from_split(np.random.default_rng(0), ds, SMALL)
         assert np.all(np.isfinite(score_records(params, ds.records)))
 
     def test_empty_split_errors(self):
@@ -133,6 +130,36 @@ class TestEmbed:
         assert cty_idx[0] == len(params.country_vocab)
         h = embed_matrix(params, [rec])  # must not raise
         assert np.all(np.isfinite(h))
+
+    def test_from_split_maps_only_the_train_codes(self):
+        # SplitSpec(10, 10): days 0-39 train, 45 valid, 59 test
+        codes = [("300003", "US"), ("100001", "DE"), ("200002", "US"), ("100001", "US")]
+        records = [make_record(i, day=i, hs6=codes[i % 4][0], cc=codes[i % 4][1]) for i in range(40)]
+        records += [make_record(40, day=45, hs6="400004", cc="FR")]  # valid
+        records += [make_record(41, day=59, cc="JP")]  # test; its hs6 is a train code
+        parts = split(CountryDataset.build("XX", records), SplitSpec(10, 10))
+        params = EncoderParams.from_split(np.random.default_rng(0), parts["train"], SMALL)
+        assert list(params.hs6_vocab.items()) == [("100001", 0), ("200002", 1), ("300003", 2)]
+        assert list(params.country_vocab.items()) == [("DE", 0), ("US", 1)]
+        assert params.tensors["hs6_table"].shape[0] == 4  # the last row is "unknown"
+        later = parts["valid"].records + parts["test"].records
+        _, hs6_idx, cty_idx = batch_inputs(params, later)
+        assert hs6_idx.tolist() == [3, 0] and cty_idx.tolist() == [2, 2]
+        stats = standardize_stats(parts["train"])
+        assert params.stats.mean.tobytes() == stats.mean.tobytes()
+        assert params.stats.std.tobytes() == stats.std.tobytes()
+
+    def test_copy_shares_frozen_context_with_fresh_tensors(self):
+        params = small_params()
+        twin = params.copy()
+        for name in ("config", "hs6_vocab", "country_vocab", "stats"):
+            assert getattr(twin, name) is getattr(params, name)
+        assert twin.tensors.keys() == params.tensors.keys()
+        for name, t in params.tensors.items():
+            fresh = twin.tensors[name]
+            assert fresh is not t and fresh.requires_grad
+            assert not np.shares_memory(fresh.data, t.data)
+            assert fresh.data.tobytes() == t.data.tobytes()
 
     def test_width_fixed_by_config(self):
         a = small_params(seed=1, n_hs6=3)
@@ -270,10 +297,7 @@ def world_records():
 
 
 def world_params(seed=0):
-    ds = world_records()
-    hs6 = {h: i for i, h in enumerate(sorted({r.hs6 for r in ds.records}))}
-    cty = {c: i for i, c in enumerate(sorted({r.country_code for r in ds.records}))}
-    return EncoderParams.init(np.random.default_rng(seed), hs6, cty, standardize_stats(ds))
+    return EncoderParams.from_split(np.random.default_rng(seed), world_records())
 
 
 def graph_signature(root):

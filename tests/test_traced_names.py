@@ -2,12 +2,15 @@
 
 `perfbench/spans.py` names the functions it wraps as (module, attribute)
 pairs and reads training-curve keys in its work counters, and
-`perfbench/workloads.py` imports protobank names directly; a deleted or
-renamed name or key would fail the benchmark run instead of the test suite.
+`perfbench/workloads.py` imports protobank names directly and calls them
+with keywords; a deleted or renamed name, key or parameter would fail the
+benchmark run instead of the test suite.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,6 +44,39 @@ def test_workloads_import(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # as run.py imports it
     workloads = importlib.import_module("workloads")
     assert set(workloads.WORKLOADS) == {"transfer", "score_bulk", "export", "exchange"}
+
+
+def _callee(func: ast.expr, names: dict):
+    """The protobank object a call's `name` or `name.attr` resolves to, else None."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        owner = names.get(func.value.id)
+        if inspect.ismodule(owner) or inspect.isclass(owner):
+            return getattr(owner, func.attr)
+    return None
+
+
+def test_workload_keywords_are_parameters():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    names = {}  # local name -> protobank object, from the module's imports
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "protobank":
+            module = importlib.import_module(node.module)
+            names.update({a.asname or a.name: getattr(module, a.name) for a in node.names})
+    checked, unknown = set(), []
+    for node in ast.walk(tree):
+        callee = _callee(node.func, names) if isinstance(node, ast.Call) else None
+        if callee is None:
+            continue
+        params = inspect.signature(callee).parameters
+        for kw in node.keywords:
+            checked.add(f"{ast.unparse(node.func)}({kw.arg}=)")
+            if kw.arg not in params:
+                unknown.append(f"line {node.lineno}: {ast.unparse(node.func)}({kw.arg}=...)")
+    assert not unknown, unknown
+    # the calls whose keywords a deletion has reached before
+    assert {"FinetuneConfig(use_memory=)", "SyntheticWorldConfig(n_shared_patterns=)"} <= checked
 
 
 def test_curve_hooks_read_training_curves():
