@@ -11,6 +11,7 @@ Target Only baseline when initialized fresh).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -20,6 +21,7 @@ from . import numerics as nm
 from .container import MemoryBank, read_envelope, write_envelope
 from .declarations import CountryDataset
 from .encoder import (
+    SCORE_CHUNK,
     EncoderConfig,
     EncoderParams,
     batch_inputs,
@@ -70,14 +72,45 @@ class FinetuneConfig:
                 raise DataError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
+class FrozenBank:
+    """The memory rows a target attends over, checked once, and their transpose;
+    both are constant tensors, so the bank gets no gradient."""
+
+    def __init__(self, matrix):
+        rows = np.asarray(matrix, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ShapeError(f"a memory bank must be an (M, d) matrix, got shape {rows.shape}")
+        if rows.shape[0] < 1:
+            raise DataError("memory bank is empty")
+        self.rows = Tensor(rows)  # the bank's one finiteness scan
+        # a C-contiguous copy: BLAS multiplies by the `.T` view with another
+        # kernel, and the logits' bits would move
+        self.rows_t = nm.transpose(self.rows)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape
+
+
 @dataclass
 class AdaptParams:
-    """Target model: encoder (with fraud head) plus adaptation layers."""
+    """Target model: encoder (with fraud head) plus adaptation layers.
+
+    `bank` is `bank_matrix` as a `FrozenBank`, or None without a memory. It is
+    built whenever `bank_matrix` is set, so it never goes stale.
+    """
 
     encoder: EncoderParams
     tensors: dict[str, Tensor]
     bank_matrix: np.ndarray | None = None  # frozen memory rows; None disables the memory
     use_calibration: bool = True
+
+    def __setattr__(self, name, value) -> None:
+        if name == "bank_matrix":
+            bank = None if value is None else FrozenBank(value)
+            object.__setattr__(self, "bank", bank)
+            value = None if bank is None else bank.rows.data
+        object.__setattr__(self, name, value)
 
     @staticmethod
     def init(
@@ -91,7 +124,9 @@ class AdaptParams:
 
     def copy(self) -> "AdaptParams":
         """Fresh tensors; the encoder's frozen context and the bank are shared."""
-        return replace(self, encoder=self.encoder.copy(), tensors=copy_tensors(self.tensors))
+        twin = copy.copy(self)  # sets no `bank_matrix`, so `bank` is shared, not rebuilt
+        twin.encoder, twin.tensors = self.encoder.copy(), copy_tensors(self.tensors)
+        return twin
 
     def all_tensors(self) -> dict[str, Tensor]:
         return {**self.encoder.tensors, **self.tensors}
@@ -100,26 +135,21 @@ class AdaptParams:
 def memory_attend(h, memory) -> tuple[Tensor, Tensor]:
     """Softmax dot-product attention of each row of h over every bank row.
 
-    h: (N, d); memory: the (M, d) bank matrix. Returns (attended, weights),
-    (N, d) and (N, M).
+    h: (N, d); memory: the (M, d) bank matrix, or a model's `FrozenBank`.
+    Returns (attended, weights), (N, d) and (N, M).
     """
-    rows = np.asarray(memory, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeError(f"memory_attend expects an (M, d) bank matrix, got {rows.shape}")
-    if rows.shape[0] < 1:
-        raise DataError("memory bank is empty")
+    bank = memory if isinstance(memory, FrozenBank) else FrozenBank(memory)
     ht = h if isinstance(h, Tensor) else Tensor(h)
     if ht.data.ndim != 2:
         raise ShapeError(f"memory_attend expects an (N, d) matrix, got {ht.shape}")
-    if ht.shape[1] != rows.shape[1]:
-        raise ShapeError(f"dimension mismatch: h has {ht.shape[1]}, bank has {rows.shape[1]}")
-    bank = Tensor(rows)
-    logits = nm.matmul(ht, nm.transpose(bank))
+    if ht.shape[1] != bank.shape[1]:
+        raise ShapeError(f"dimension mismatch: h has {ht.shape[1]}, bank has {bank.shape[1]}")
+    logits = nm.matmul(ht, bank.rows_t)
     # the weights overwrite the logits, so a scoring chunk holds one (N, M)
     # array, not two; nothing reads the logits later (matmul's VJP reads only
     # its inputs)
     weights = nm.softmax(logits, axis=1, out=logits.data)
-    attended = nm.matmul(weights, bank)
+    attended = nm.matmul(weights, bank.rows)
     return attended, weights
 
 
@@ -149,8 +179,8 @@ def target_forward(
 ) -> tuple[Tensor, Tensor]:
     """Score a batch through embed -> attend -> calibrate -> refine -> head."""
     h = embed_batch(params.encoder, feats, hs6_idx, cty_idx)
-    if params.bank_matrix is not None:
-        h_ts, _ = memory_attend(h, params.bank_matrix)
+    if params.bank is not None:
+        h_ts, _ = memory_attend(h, params.bank)
         h_bar = calibrate(params, h, h_ts)[0] if params.use_calibration else h_ts
         h_hat = refine(h, h_bar)
     else:
@@ -158,10 +188,28 @@ def target_forward(
     return score_batch(params.encoder, h_hat), h_hat
 
 
+# Attention logits (records x bank rows) per scoring chunk: 2**20 float64 is 8 MiB.
+_LOGITS_BUDGET = 1 << 20
+
+
+def score_chunk(bank_rows: int) -> int:
+    """Records per scoring chunk against a bank of `bank_rows` rows.
+
+    The largest power of two up to SCORE_CHUNK whose (chunk, bank_rows)
+    logits stay within _LOGITS_BUDGET elements, and never below 1. A bank of
+    at most 1024 rows keeps SCORE_CHUNK-record chunks.
+    """
+    chunk = SCORE_CHUNK
+    while chunk > 1 and chunk * bank_rows > _LOGITS_BUDGET:
+        chunk //= 2
+    return chunk
+
+
 def score_records(params: AdaptParams, records) -> np.ndarray:
     """Fraud scores for many records through the full target model."""
+    chunk = score_chunk(0 if params.bank is None else params.bank.shape[0])
     return forward_rows(
-        params.encoder, records, lambda *x: target_forward(params, *x)[0], 1
+        params.encoder, records, lambda *x: target_forward(params, *x)[0], 1, chunk
     )[:, 0]
 
 

@@ -45,7 +45,7 @@ from .container import (
     deserialize,
     serialize,
 )
-from .declarations import CountryDataset
+from .declarations import CountryDataset, check_id
 from .encoder import EncoderParams, embed_matrix
 from .errors import DataError, FormatError, NumericError
 
@@ -251,15 +251,6 @@ def random_bank(dim: int, n_rows: int, seed: int, source_id: str = "random") -> 
 # directory-backed store
 
 
-def _safe_id(source_id: str) -> str:
-    if not source_id or any(c not in _ID_CHARS for c in source_id):
-        raise DataError(f"source_id {source_id!r} not storable (use [A-Za-z0-9._-])")
-    return source_id
-
-
-_ID_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-")
-
-
 class BankStore:
     """Filesystem store; PUT is write-temp-then-rename so reads never tear."""
 
@@ -271,7 +262,7 @@ class BankStore:
         ps = deserialize(data)  # reject malformed uploads before touching disk
         if not isinstance(ps, PrototypeSet):
             raise DataError("only prototype sets can be stored")
-        sid = _safe_id(ps.source_id)
+        sid = check_id("source_id", ps.source_id)
         # no .pbnk suffix, so list() never sees an upload in flight
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
@@ -286,7 +277,7 @@ class BankStore:
 
     def get(self, source_id: str) -> bytes:
         try:
-            return (self.root / f"{_safe_id(source_id)}.pbnk").read_bytes()
+            return (self.root / f"{check_id('source_id', source_id)}.pbnk").read_bytes()
         except FileNotFoundError:
             raise DataError(f"unknown source_id {source_id!r}") from None
 

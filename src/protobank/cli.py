@@ -88,9 +88,10 @@ _COUNTRY_FIELDS = ("n_records", "duration_days", "base_illicit_rate", "fraud_pat
 
 def parse_world_config(text: str) -> SyntheticWorldConfig:
     """Flat key=value format; country fields are country.<id>.<field>.
-    DataError on a key that is neither, naming its line."""
+    DataError on a key that is neither or that repeats, naming its line."""
     top: dict[str, str] = {}
     per_country: dict[str, dict[str, str]] = {}
+    seen: dict[str, int] = {}  # key -> the line that gave it
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -108,6 +109,9 @@ def parse_world_config(text: str) -> SyntheticWorldConfig:
             field, known, into = key, _WORLD_KEYS, top
         if field not in known:
             raise DataError(f"world config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise DataError(f"world config line {lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         into[field] = value
     if not per_country:
         raise DataError("world config defines no countries")

@@ -227,6 +227,17 @@ def write_csv(ds: CountryDataset, path) -> None:
 # synthetic world generation
 
 
+_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
+
+
+def check_id(name: str, value) -> str:
+    """`value` if it is a nonempty string of [A-Za-z0-9._-], which is safe as a
+    file name (a country's CSV, a stored prototype set); DataError otherwise."""
+    if not (isinstance(value, str) and _ID_RE.fullmatch(value)):
+        raise DataError(f"{name} {value!r} must be nonempty and use only [A-Za-z0-9._-]")
+    return value
+
+
 def check_int(name: str, value, low: int, high: float = math.inf) -> None:
     """DataError unless `value` is an int (a bool is not) in [low, high]."""
     if not (type(value) is int and low <= value <= high):
@@ -264,6 +275,7 @@ class SyntheticWorldConfig:
             raise DataError("duplicate country ids in world config")
         last_day = _END_ANCHOR.toordinal()
         for c in self.countries:
+            check_id("country id", c.country_id)
             check_int(f"{c.country_id}: n_records", c.n_records, 1000)
             if not 0 < c.base_illicit_rate < 0.5:
                 raise DataError(f"{c.country_id}: base_illicit_rate must be in (0, 0.5)")

@@ -228,18 +228,18 @@ def score_batch(params: EncoderParams, h: Tensor) -> Tensor:
 SCORE_CHUNK = 1024  # records per forward pass when scoring many records
 
 
-def forward_rows(params: EncoderParams, records, forward, width: int) -> np.ndarray:
+def forward_rows(params: EncoderParams, records, forward, width: int, chunk: int) -> np.ndarray:
     """Rows of `forward(feats, hs6_idx, cty_idx)` over many records, without a graph.
 
     The one scoring loop: records go through `batch_inputs` and `forward` in
-    SCORE_CHUNK-record slices under `no_grad`, and the slices' outputs are
+    `chunk`-record slices under `no_grad`, and the slices' outputs are
     stacked into an (n, width) array. NumericError if a row is not finite: ops
     do not scan their outputs, and scores and embeddings leave the model here.
     """
     out = []
     with nm.no_grad():
-        for lo in range(0, len(records), SCORE_CHUNK):
-            out.append(forward(*batch_inputs(params, records[lo : lo + SCORE_CHUNK])).data)
+        for lo in range(0, len(records), chunk):
+            out.append(forward(*batch_inputs(params, records[lo : lo + chunk])).data)
     rows = np.vstack(out) if out else np.zeros((0, width))
     if not np.all(np.isfinite(rows)):
         raise NumericError("non-finite model output")
@@ -248,13 +248,15 @@ def forward_rows(params: EncoderParams, records, forward, width: int) -> np.ndar
 
 def embed_matrix(params: EncoderParams, records) -> np.ndarray:
     """Fused representations h for many records."""
-    return forward_rows(params, records, lambda *x: embed_batch(params, *x), params.config.d)
+    return forward_rows(
+        params, records, lambda *x: embed_batch(params, *x), params.config.d, SCORE_CHUNK
+    )
 
 
 def score_records(params: EncoderParams, records) -> np.ndarray:
     """Fraud scores for many records."""
     return forward_rows(
-        params, records, lambda *x: score_batch(params, embed_batch(params, *x)), 1
+        params, records, lambda *x: score_batch(params, embed_batch(params, *x)), 1, SCORE_CHUNK
     )[:, 0]
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from protobank import adapt
 from protobank import numerics as nm
 from protobank.adapt import (
     AdaptParams,
@@ -15,6 +16,7 @@ from protobank.adapt import (
     memory_attend,
     refine,
     save_adapt,
+    score_chunk,
     score_records,
     target_forward,
 )
@@ -161,9 +163,48 @@ class TestLogitsOverwrite:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one (1024, 2000) float64 array is 16.4 MB; keeping the logits next
-        # to the softmax output would hold two of them
-        assert peak < 1.5 * 1024 * 2000 * 8
+        # a 2000-row bank scores 512 records per chunk: one (512, 2000) float64
+        # array is 8.2 MB; keeping the logits next to the softmax output would
+        # hold two of them
+        assert peak < 1.5 * score_chunk(2000) * 2000 * 8
+
+
+class TestScoringChunks:
+    """Chunk rows follow the bank's size, so scoring memory stays flat as it grows."""
+
+    @pytest.mark.parametrize(
+        "rows, chunk",
+        [(0, 1024), (1, 1024), (197, 1024), (521, 1024), (1024, 1024), (1025, 512),
+         (2000, 512), (50_000, 16), (2**20, 1), (2**21, 1)],
+    )
+    def test_chunk_rule(self, rows, chunk):
+        assert score_chunk(rows) == chunk
+
+    @pytest.mark.parametrize("rows, calls", [(1024, [1024, 1024, 52]), (2000, [512] * 4 + [52])])
+    def test_one_attend_call_per_chunk(self, rows, calls, world, monkeypatch):
+        model, seen = world_model(world, rows), []
+        attend = adapt.memory_attend
+
+        def counted(h, memory):
+            seen.append((h.shape[0], memory))
+            return attend(h, memory)
+
+        monkeypatch.setattr(adapt, "memory_attend", counted)
+        score_records(model, (world[1] * 2)[:2100])
+        assert [n for n, _ in seen] == calls
+        assert all(memory is model.bank for _, memory in seen)
+
+    def test_score_records_memory_flat_in_bank_rows(self, world):
+        model = world_model(world, 50_000)
+        records = (world[1] * 2)[:2048]
+        tracemalloc.start()
+        try:
+            score_records(model, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1024-record chunks held a (1024, 50000) float64 logits array, 410 MB
+        assert peak < 32 * 2**20
 
 
 class TestCalibrate:
@@ -321,12 +362,18 @@ class TestFinetune:
         model = AdaptParams.init(enc, np.random.default_rng(1), small_bank(dim=6).matrix(), False)
         twin = model.copy()
         assert twin.bank_matrix is model.bank_matrix and twin.use_calibration is False
+        assert twin.bank is model.bank  # checked and transposed once per model
         assert twin.encoder.stats is enc.stats and twin.encoder.hs6_vocab is enc.hs6_vocab
         assert twin.all_tensors().keys() == model.all_tensors().keys()
         for name, t in model.all_tensors().items():
             fresh = twin.all_tensors()[name]
             assert fresh is not t and not np.shares_memory(fresh.data, t.data)
             assert fresh.data.tobytes() == t.data.tobytes()
+        # a bank set later replaces the prepared one; the original model keeps its own
+        twin.bank_matrix = small_bank(dim=6, seed=3).matrix()
+        assert twin.bank is not model.bank and twin.bank.rows.data is twin.bank_matrix
+        assert twin.bank.rows_t.data.tobytes() == twin.bank_matrix.T.tobytes()
+        assert model.bank.rows.data is model.bank_matrix
 
     def test_memory_finetune_keeps_bank_and_split_context(self, monkeypatch):
         parts = self._parts()
@@ -471,7 +518,6 @@ class TestAdaptSerialization:
 
 class TestGraphFreeScoring:
     def test_entry_points_keep_flags_and_build_no_graph(self, monkeypatch):
-        from protobank import adapt
         from protobank.bank import extract_prototypes
         from protobank.encoder import embed_matrix
         from protobank.encoder import score_records as encoder_scores

@@ -256,6 +256,29 @@ class TestExitCodes:
         assert f"data error: world config line {line}: unknown key {key!r}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "extra, first",
+        [("seed=6", 2), ("country.BB.fraud_patterns=1", 13)],
+        ids=["top-level", "country-field"],
+    )
+    def test_repeated_world_config_key_is_data_error(self, tmp_path, capsys, extra, first):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(WORLD_CFG + extra + "\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        key = extra.split("=")[0]
+        assert f"data error: world config line 14: key {key!r} repeats line {first}" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cid", ["", "a/b"], ids=["empty", "slash"])
+    def test_world_config_country_id_must_be_a_file_name(self, tmp_path, capsys, cid):
+        cfg = tmp_path / "world.cfg"
+        cfg.write_text(WORLD_CFG.replace("country.BB.", f"country.{cid}."))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"data error: country id {cid!r} must be nonempty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "no.pbm"),
                      "--data", str(tmp_path / "no.csv")]) == 2

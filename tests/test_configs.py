@@ -76,6 +76,9 @@ CASES = [
     ("world", "seed", 1.5, "seed"),
     ("world", "countries", (), "at least one country"),
     ("world", "countries", _countries() * 2, "duplicate"),
+    ("world", "countries", _countries(country_id=""), "country id"),
+    ("world", "countries", _countries(country_id="a/b"), "country id"),
+    ("world", "countries", _countries(country_id="AA\n"), "country id"),
     ("world", "countries", _countries(n_records=999), "n_records"),
     ("world", "countries", _countries(n_records=1000.0), "n_records"),
     ("world", "countries", _countries(base_illicit_rate=NAN), "base_illicit_rate"),
