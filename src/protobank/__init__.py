@@ -16,6 +16,7 @@ from .declarations import (
     CountryDataset,
     CountrySpec,
     ImportDeclaration,
+    Records,
     SplitSpec,
     SyntheticWorldConfig,
     generate_world,
@@ -51,6 +52,7 @@ __all__ = [
     "MemoryBank",
     "PretrainConfig",
     "PrototypeSet",
+    "Records",
     "ScenarioConfig",
     "ScenarioReport",
     "ScenarioRunner",

@@ -271,10 +271,8 @@ def consistency_subset(labeled, src_scores, tgt_scores, keep_fraction: float):
     if not 0 < keep_fraction <= 1:
         raise DataError(f"keep_fraction {keep_fraction} out of (0, 1]")
     gap = np.abs(np.asarray(src_scores) - np.asarray(tgt_scores))
-    ids = np.array([r.id for r in labeled])
-    order = np.lexsort((ids, gap))
-    n_keep = max(1, round(keep_fraction * len(labeled)))
-    return [labeled[i] for i in order[:n_keep]]
+    order = np.lexsort((labeled.ids, gap))
+    return labeled[order[: max(1, round(keep_fraction * len(labeled)))]]
 
 
 def akc_finetune(

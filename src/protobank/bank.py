@@ -212,7 +212,7 @@ def extract_prototypes(
     labeled = fraud_like.labeled()
     if not labeled:
         raise DataError(f"{fraud_like.country_id}: no labeled records to compress")
-    y = np.array([1 if r.illicit else 0 for r in labeled])
+    y = labeled.illicit
     h = embed_matrix(params, labeled)
     sets = {}
     for cls, name in ((1, "fraud"), (0, "non-fraud")):

@@ -1,10 +1,11 @@
 """Import-declaration data model, CSV ingestion, and synthetic worlds.
 
-A CountryDataset is an immutable, chronologically sorted collection of
-ImportDeclaration records plus the sealed records behind them: the same
-records with their labels unmasked, in the same order. Training code only
-ever sees the visible labels on the records; evaluation reads the sealed
-records, so masking labels can never leak into scoring.
+A CountryDataset holds one country's declarations as numpy columns, sorted
+chronologically, plus the sealed records behind them: the same columns with
+their labels unmasked. Training code only ever sees the visible labels;
+evaluation reads the sealed ones, so masking labels can never leak into
+scoring. `ImportDeclaration` is one row at the edge: what a CSV row, a test
+or an iteration over `Records` sees.
 
 The synthetic world generator stands in for real customs data: frauds are
 injected as (HS6 bucket x origin) pattern conjunctions with an
@@ -15,13 +16,15 @@ shared patterns between countries carry transferable signal.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
-import sys
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from datetime import date as Date
-from datetime import timedelta
-from itertools import compress
+from itertools import islice, repeat
+from numbers import Real
+from operator import eq, itemgetter
 
 import numpy as np
 
@@ -66,61 +69,271 @@ class ImportDeclaration:
     revenue: float | None = None
 
     def __post_init__(self) -> None:
-        if not _HS6_RE.match(self.hs6):
-            raise SchemaError(f"record {self.id}: hs6 {self.hs6!r} is not 6 digits")
-        if not _COUNTRY_RE.match(self.country_code):
-            raise SchemaError(
-                f"record {self.id}: country_code {self.country_code!r} is not 2 letters"
-            )
-        for name in ("quantity", "gross_weight", "cif_value"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise SchemaError(f"record {self.id}: {name} must be positive, got {v}")
-        price = self.cif_value / self.gross_weight
-        if not price <= _MAX_PRICE_PER_KG:
-            raise SchemaError(f"record {self.id}: price_per_kg {price} over {_MAX_PRICE_PER_KG:g}")
-        if not (math.isfinite(self.total_taxes) and self.total_taxes >= 0):
-            raise SchemaError(f"record {self.id}: total_taxes must be nonnegative")
+        for name, (kinds, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise SchemaError(f"record {self.id}: {name} must be {kind}, got {value!r}")
+        if not _INT64.min <= self.id <= _INT64.max:
+            raise SchemaError(f"record {self.id}: id does not fit in 64 bits")
+        _check(Records.of([self]))
         if (self.illicit is None) != (self.revenue is None):
             raise SchemaError(f"record {self.id}: illicit and revenue must be set together")
-        if self.revenue is not None:
-            if not (math.isfinite(self.revenue) and self.revenue >= 0):
-                raise SchemaError(f"record {self.id}: revenue must be nonnegative")
-            if self.illicit is False and self.revenue != 0:
-                raise SchemaError(f"record {self.id}: revenue {self.revenue} on a non-fraud")
-            if self.revenue > 0 and self.illicit is not True:
-                raise SchemaError(f"record {self.id}: positive revenue requires illicit=1")
+
+
+# field -> (the types it may hold, as a message names them); checked before
+# the row's columns are built, which would convert a str or overflow an id
+_FIELD_TYPES = {
+    "id": ((int, np.integer), "an integer"),
+    "date": (Date, "a date"),
+    "quantity": (Real, "a number"),
+    "gross_weight": (Real, "a number"),
+    "hs6": (str, "a str"),
+    "country_code": (str, "a str"),
+    "cif_value": (Real, "a number"),
+    "total_taxes": (Real, "a number"),
+    "illicit": ((bool, np.bool_, type(None)), "a bool or None"),
+    "revenue": ((Real, type(None)), "a number or None"),
+}
+_INT64 = np.iinfo(np.int64)
+_SETTERS = tuple(vars(ImportDeclaration)[f.name].__set__ for f in fields(ImportDeclaration))
+
+
+def _declaration(*values) -> ImportDeclaration:
+    """A declaration of column values that were checked already, built without the checks."""
+    rec = object.__new__(ImportDeclaration)
+    for set_field, value in zip(_SETTERS, values):
+        set_field(rec, value)
+    return rec
+
+
+# Column -> dtype, in ImportDeclaration's field order. `hs6` and
+# `country_code` are codes into the Records' string pools; `days` are
+# date.toordinal(); `illicit` is -1 where uninspected, and `revenue` is 0
+# there.
+_COLUMNS = {
+    "ids": np.int64,
+    "days": np.int32,
+    "quantity": np.float64,
+    "gross_weight": np.float64,
+    "hs6": np.int32,
+    "country_code": np.int32,
+    "cif_value": np.float64,
+    "total_taxes": np.float64,
+    "illicit": np.int8,
+    "revenue": np.float64,
+}
+_FLOAT_COLUMNS = ("quantity", "gross_weight", "cif_value", "total_taxes")
+_BLOCK_ROWS = 1024  # rows parsed or built into declarations per pass
+
+
+def map_column(fn, column: np.ndarray) -> np.ndarray:
+    """`fn` applied to each value of a float column, as a float64 array.
+
+    For math.log, math.log1p and math.exp: np.log, np.log1p and np.exp round
+    differently on some values, and every feature and generated value keeps
+    the bits of the per-value math.* call.
+    """
+    return np.fromiter(map(fn, column.tolist()), np.float64, len(column))
+
+
+class Records:
+    """Read-only columns of declarations, in dataset order.
+
+    `len`, iteration and integer indexing give `ImportDeclaration`s with plain
+    Python values, built on demand; a slice, boolean mask or index array
+    selects rows as Records (a slice shares the columns); `+` concatenates.
+    The pools may hold values that no selected row uses.
+    """
+
+    __slots__ = (*_COLUMNS, "hs6_pool", "country_pool")
+
+    def __init__(self, columns: dict, hs6_pool: tuple[str, ...], country_pool: tuple[str, ...]):
+        for name, dtype in _COLUMNS.items():
+            column = np.asarray(columns[name], dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self.hs6_pool, self.country_pool = hs6_pool, country_pool
+
+    @staticmethod
+    def of(declarations) -> "Records":
+        """The columns of checked declarations, in their order."""
+        recs = list(declarations)
+        hs6, countries = {}, {}
+        columns = {
+            "ids": [r.id for r in recs],
+            "days": [r.date.toordinal() for r in recs],
+            **{name: [getattr(r, name) for r in recs] for name in _FLOAT_COLUMNS},
+            "hs6": [hs6.setdefault(r.hs6, len(hs6)) for r in recs],
+            "country_code": [countries.setdefault(r.country_code, len(countries)) for r in recs],
+            "illicit": [-1 if r.illicit is None else r.illicit for r in recs],
+            "revenue": [r.revenue or 0.0 for r in recs],
+        }
+        return Records(columns, tuple(hs6), tuple(countries))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self))[key]
+            return next(iter(self[i : i + 1]))
+        columns = {name: getattr(self, name)[key] for name in _COLUMNS}
+        return Records(columns, self.hs6_pool, self.country_pool)
+
+    def __iter__(self):
+        dates: dict[int, Date] = {}  # one object per day
+        hs6, countries = self.hs6_pool, self.country_pool
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            block = [getattr(self, name)[lo : lo + _BLOCK_ROWS].tolist() for name in _COLUMNS]
+            for rid, day, q, w, h, c, v, t, label, revenue in zip(*block):
+                date = dates.get(day) or dates.setdefault(day, Date.fromordinal(day))
+                labels = (None, None) if label < 0 else (label == 1, revenue)
+                yield _declaration(rid, date, q, w, hs6[h], countries[c], v, t, *labels)
+
+    def __add__(self, other: "Records") -> "Records":
+        if not isinstance(other, Records):
+            return NotImplemented
+        tail = {name: getattr(other, name) for name in _COLUMNS}
+        hs6_pool, tail["hs6"] = _merge(self.hs6_pool, other.hs6_pool, other.hs6)
+        country_pool, tail["country_code"] = _merge(
+            self.country_pool, other.country_pool, other.country_code
+        )
+        columns = {name: np.concatenate((getattr(self, name), tail[name])) for name in _COLUMNS}
+        return Records(columns, hs6_pool, country_pool)
+
+    def __eq__(self, other) -> bool:
+        """Equal when both hold the same declarations in the same order."""
+        if not isinstance(other, Records):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def relabeled(self, illicit: np.ndarray) -> "Records":
+        """These rows with visible labels `illicit` (-1 hides one, and its
+        revenue reads 0), sharing every other column."""
+        columns = {name: getattr(self, name) for name in _COLUMNS}
+        columns["illicit"] = illicit
+        columns["revenue"] = np.where(illicit >= 0, self.revenue, 0.0)
+        return Records(columns, self.hs6_pool, self.country_pool)
+
+
+def _merge(pool: tuple, other_pool: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """A pool holding `pool` then the new values of `other_pool`, and `codes`
+    into `other_pool` recoded into it."""
+    if other_pool is pool:
+        return pool, codes
+    index = {value: code for code, value in enumerate(pool)}
+    recode = np.array([index.setdefault(v, len(index)) for v in other_pool], dtype=np.int32)
+    return tuple(index), recode[codes]
+
+
+# ---------------------------------------------------------------------------
+# record rules
+
+
+def _record_faults(r: Records) -> list:
+    """The record rules in check order, each as (mask of the rows that break
+    it, message for row i)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        price = r.cif_value / r.gross_weight
+    hs6, country, taxes, revenue = r.hs6_pool, r.country_pool, r.total_taxes, r.revenue
+    rules = [
+        (_unmatched(_HS6_RE, hs6, r.hs6), lambda i: f"hs6 {hs6[r.hs6[i]]!r} is not 6 digits"),
+        (
+            _unmatched(_COUNTRY_RE, country, r.country_code),
+            lambda i: f"country_code {country[r.country_code[i]]!r} is not 2 letters",
+        ),
+    ]
+    for name in ("quantity", "gross_weight", "cif_value"):
+        v = getattr(r, name)
+        positive = np.isfinite(v) & (v > 0)
+        rules.append((~positive, lambda i, n=name, v=v: f"{n} must be positive, got {float(v[i])}"))
+    rules += [
+        (
+            ~(price <= _MAX_PRICE_PER_KG),
+            lambda i: f"price_per_kg {float(price[i])} over {_MAX_PRICE_PER_KG:g}",
+        ),
+        (~(np.isfinite(taxes) & (taxes >= 0)), lambda i: "total_taxes must be nonnegative"),
+        (
+            (r.illicit >= 0) & ~(np.isfinite(revenue) & (revenue >= 0)),
+            lambda i: "revenue must be nonnegative",
+        ),
+        (
+            (r.illicit == 0) & (revenue != 0),
+            lambda i: f"revenue {float(revenue[i])} on a non-fraud",
+        ),
+    ]
+    return [(bad, lambda i, say=say: f"record {r.ids[i]}: {say(i)}") for bad, say in rules]
+
+
+def _unmatched(pattern: re.Pattern, pool: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose pooled value `pattern` does not match."""
+    return np.array([not pattern.match(value) for value in pool], dtype=bool)[codes]
+
+
+def _first_fault(faults) -> tuple[int, str] | None:
+    """(row, message) of the first row any fault marks, with the message of
+    the first fault in check order that marks it; None when none does."""
+    firsts = [int(np.argmax(bad)) for bad, _ in faults if bad.any()]
+    if not firsts:
+        return None
+    row = min(firsts)
+    return row, next(message for bad, message in faults if bad[row])(row)
+
+
+def _check(records: Records) -> None:
+    """SchemaError for the first row that breaks a record rule."""
+    fault = _first_fault(_record_faults(records))
+    if fault is not None:
+        raise SchemaError(fault[1])
 
 
 @dataclass(frozen=True)
 class CountryDataset:
-    """Sorted, checked records for one country; treat as immutable."""
+    """Sorted, checked declarations of one country, held as columns."""
 
     country_id: str
-    records: tuple[ImportDeclaration, ...]
-    # ground truth for evaluation: sealed[i] is records[i] with its labels
-    # unmasked, and the same tuple as `records` until mask_labels hides labels
-    sealed: tuple[ImportDeclaration, ...]
+    records: Records
+    # ground truth for evaluation: `records` with every label unmasked over the
+    # same columns, and the same object until mask_labels hides labels
+    sealed: Records
 
     @staticmethod
     def build(country_id: str, records) -> "CountryDataset":
-        recs = tuple(sorted(records, key=lambda r: (r.date, r.id)))
-        ids = [r.id for r in recs]
-        if len(set(ids)) != len(ids):
-            raise SchemaError(f"dataset {country_id}: duplicate record ids")
+        """A dataset of checked declarations (or Records) in any order, sorted
+        by (date, id); SchemaError naming the first id that repeats."""
+        recs = records if isinstance(records, Records) else Records.of(records)
+        ids = recs.ids
+        by_id = np.argsort(ids, kind="stable")
+        repeats = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]
+        if repeats.size:
+            raise SchemaError(
+                f"dataset {country_id}: duplicate record ids ({ids[repeats.min()]} repeats)"
+            )
+        order = np.lexsort((ids, recs.days))
+        if not np.array_equal(order, np.arange(len(order))):
+            recs = recs[order]
         return CountryDataset(country_id, recs, recs)
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def labeled(self) -> tuple[ImportDeclaration, ...]:
-        return tuple(r for r in self.records if r.illicit is not None)
+    def labeled(self) -> Records:
+        return self.records[self.records.illicit >= 0]
 
     def subset(self, keep) -> "CountryDataset":
-        """The records that `keep` accepts, each with its sealed record."""
-        kept = [keep(r) for r in self.records]
-        recs = tuple(compress(self.records, kept))
-        sealed = recs if self.sealed is self.records else tuple(compress(self.sealed, kept))
+        """The rows `keep` selects, in order, with their truth: `keep` is a
+        boolean mask over the rows or a slice with a positive step."""
+        if isinstance(keep, slice):
+            if keep.step is not None and keep.step < 1:
+                raise ValueError(f"subset slice step must be positive, got {keep.step}")
+        elif not (
+            isinstance(keep, np.ndarray) and keep.dtype == bool and keep.shape == (len(self),)
+        ):
+            raise ValueError(f"subset takes a slice or a boolean mask of {len(self)} rows")
+        recs = self.records[keep]
+        sealed = recs if self.sealed is self.records else self.sealed[keep]
         return CountryDataset(self.country_id, recs, sealed)
 
 
@@ -128,37 +341,132 @@ class CountryDataset:
 # CSV ingestion
 
 
-def _parse_row(row: dict[str, str], line: int, dates: dict[str, Date]) -> ImportDeclaration:
+_LABELS = {"": -1, "0": 0, "1": 1}  # anything else reads as -2
+_NO_REVENUE = frozenset(("", "0", "0.0"))
+
+
+def _revenue(text: str) -> float:
+    return float(text) if text else 0.0
+
+
+def _ordinal(text: str) -> int:
+    return Date.fromisoformat(text.strip()).toordinal()
+
+
+def _converted(fn, values, dtype, faults: list) -> np.ndarray:
+    """`fn` over `values` as a `dtype` array. A value it rejects reads as 1 and
+    adds its row to a malformed-row fault at the end of `faults`."""
     try:
-        illicit_raw = row["illicit"].strip()
-        revenue_raw = row["revenue"].strip()
-        if illicit_raw == "":
-            illicit: bool | None = None
-            if revenue_raw not in ("", "0", "0.0"):
-                raise SchemaError("revenue given for unlabeled row")
-            revenue: float | None = None
-        elif illicit_raw in ("0", "1"):
-            illicit = illicit_raw == "1"
-            revenue = float(revenue_raw) if revenue_raw else 0.0
-        else:
-            raise SchemaError("illicit must be 0, 1, or empty")
-        day = row["date"].strip()
-        return ImportDeclaration(
-            id=int(row["id"]),
-            date=dates.get(day) or dates.setdefault(day, Date.fromisoformat(day)),
-            quantity=float(row["quantity"]),
-            gross_weight=float(row["gross_weight"]),
-            hs6=sys.intern(row["hs6"].strip()),
-            country_code=sys.intern(row["country_code"].strip()),
-            cif_value=float(row["cif_value"]),
-            total_taxes=float(row["total_taxes"]),
-            illicit=illicit,
-            revenue=revenue,
-        )
-    except SchemaError as e:
-        raise SchemaError(f"line {line}: {e}") from None
-    except (KeyError, ValueError) as e:
-        raise SchemaError(f"line {line}: malformed row ({e})") from None
+        return np.fromiter(map(fn, values), dtype, len(values))
+    except (ValueError, OverflowError):
+        pass
+    out, errors = np.ones(len(values), dtype), {}
+    for i, value in enumerate(values):
+        try:
+            out[i] = fn(value)
+        except (ValueError, OverflowError) as e:  # an id beyond int64 overflows here
+            errors[i] = e
+    bad = np.zeros(len(values), dtype=bool)
+    bad[list(errors)] = True
+    faults.append((bad, lambda i: f"malformed row ({errors[i]})"))
+    return out
+
+
+def _coded(pool: dict[str, int], values) -> np.ndarray:
+    """Codes of the stripped `values` in `pool`, which grows by each new value."""
+    stripped = list(map(str.strip, values))
+    for value in dict.fromkeys(stripped):
+        pool.setdefault(value, len(pool))
+    return np.fromiter(map(pool.__getitem__, stripped), np.int32, len(stripped))
+
+
+def _parse_block(rows: list, position: dict, width: int, pools, ordinal, start: int):
+    """Columns of `rows`, which start at data row `start`, up to the block's
+    first faulty row, and that fault as (data row, message, whether the
+    message names the file), or None.
+
+    A row's checks run in this order: its field count (at most the header's
+    `width`, and enough to hold every CSV column, so a row may leave off
+    trailing extra cells); the labels; then id, date, quantity,
+    gross_weight, cif_value and total_taxes. The record rules run later,
+    over every row read.
+    """
+    fault = None
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    wrong = np.flatnonzero((lengths <= max(position.values())) | (lengths > width))
+    if wrong.size:
+        k = int(wrong[0])
+        more = "more" if lengths[k] > width else "fewer"
+        fault = (start + k, f"{more} fields than the header", True)
+        rows = rows[:k]
+    n = len(rows)
+
+    def cell(name):
+        return list(map(itemgetter(position[name]), rows))
+
+    revenue_text = list(map(str.strip, cell("revenue")))
+    illicit_text = map(str.strip, cell("illicit"))
+    illicit = np.fromiter(map(_LABELS.get, illicit_text, repeat(-2)), np.int8, n)
+    given = ~np.fromiter(map(_NO_REVENUE.__contains__, revenue_text), bool, n)
+    faults = [
+        (illicit == -2, lambda i: "illicit must be 0, 1, or empty"),
+        ((illicit == -1) & given, lambda i: "revenue given for unlabeled row"),
+    ]
+    columns = {
+        "revenue": _converted(_revenue, revenue_text, np.float64, faults),
+        "illicit": illicit,
+        "ids": _converted(int, cell("id"), np.int64, faults),
+        "days": _converted(ordinal, cell("date"), np.int32, faults),
+        "quantity": _converted(float, cell("quantity"), np.float64, faults),
+        "gross_weight": _converted(float, cell("gross_weight"), np.float64, faults),
+        "hs6": _coded(pools[0], cell("hs6")),
+        "country_code": _coded(pools[1], cell("country_code")),
+        "cif_value": _converted(float, cell("cif_value"), np.float64, faults),
+        "total_taxes": _converted(float, cell("total_taxes"), np.float64, faults),
+    }
+    first = _first_fault(faults)
+    if first is not None:
+        row, message = first
+        kept = {name: column[:row] for name, column in columns.items()}
+        return kept, (start + row, message, False)
+    return columns, fault
+
+
+def _positions(path, header: list[str]) -> dict[str, int]:
+    """Index of each CSV column in `header`; SchemaError unless the header
+    names every one and no column twice."""
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: header missing columns {missing}")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise SchemaError(f"{path}: header names column {repeated[0]!r} more than once")
+    return {c: header.index(c) for c in CSV_COLUMNS}
+
+
+def _read_error(path, reader, e: Exception) -> SchemaError:
+    if isinstance(e, UnicodeDecodeError):
+        return SchemaError(f"{path}: line {_line_of_bad_utf8(path)}: not UTF-8 ({e.reason})")
+    return SchemaError(f"{path}: line {reader.line_num}: {e}")
+
+
+def _data_rows(path, reader):
+    """The nonempty rows after the header; then, if reading stops on an
+    error, its SchemaError."""
+    try:
+        yield from filter(None, reader)
+    except (csv.Error, UnicodeDecodeError) as e:
+        yield _read_error(path, reader, e)
+
+
+def _line_of_row(path, index: int) -> int:
+    """The line on which data row `index` (counted from 0, blank lines skipped) ends."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        for _ in islice(filter(None, reader), index + 1):
+            pass
+        return reader.line_num
 
 
 def _line_of_bad_utf8(path) -> int:
@@ -173,53 +481,72 @@ def _line_of_bad_utf8(path) -> int:
 
 
 def load_csv(path, country_id: str | None = None) -> CountryDataset:
-    """Read a declarations CSV whose header names every column of `CSV_COLUMNS`."""
-    records = []
-    dates: dict[str, Date] = {}  # one object per distinct date
+    """Read a declarations CSV whose header names each column of `CSV_COLUMNS` once.
+
+    Rows are read a block at a time and parsed into columns. A row holds no
+    more fields than the header and may leave off only trailing cells of
+    extra columns. The first faulty row in file order raises a SchemaError
+    naming its line.
+    """
+    pools: tuple[dict, dict] = ({}, {})  # hs6 and country_code value -> code, by first use
+    ordinal = functools.cache(_ordinal)  # each distinct date string is parsed once
+    blocks, fault, read_error = [], None, None
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames is None:
-                raise SchemaError(f"{path}: empty file")
-            missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise SchemaError(f"{path}: header missing columns {missing}")
-            for row in reader:
-                try:
-                    records.append(_parse_row(row, reader.line_num, dates))
-                except (AttributeError, TypeError):
-                    if None not in row.values():  # DictReader's fill for a short row
-                        raise
-                    line = reader.line_num
-                    raise SchemaError(f"{path}: line {line}: fewer fields than the header") from None
-        except csv.Error as e:
-            # DictReader.line_num stops at the last whole row; its reader's counts this one
-            raise SchemaError(f"{path}: line {reader.reader.line_num}: {e}") from None
-        except UnicodeDecodeError as e:
-            line = _line_of_bad_utf8(path)
-            raise SchemaError(f"{path}: line {line}: not UTF-8 ({e.reason})") from None
-    cid = country_id if country_id is not None else str(path)
-    return CountryDataset.build(cid, records)
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file") from None
+        except (csv.Error, UnicodeDecodeError) as e:
+            raise _read_error(path, reader, e) from None
+        position = _positions(path, header)
+        rows, start = _data_rows(path, reader), 0
+        while fault is None and (block := list(islice(rows, _BLOCK_ROWS))):
+            if isinstance(block[-1], SchemaError):
+                read_error = block.pop()
+            columns, fault = _parse_block(block, position, len(header), pools, ordinal, start)
+            blocks.append(columns)
+            start += len(block)
+    # each column's blocks are let go once it is joined: the peak is the
+    # columns plus one column's blocks, not twice the columns
+    columns = {
+        name: np.concatenate([np.empty(0, dtype)] + [b.pop(name) for b in blocks])
+        for name, dtype in _COLUMNS.items()
+    }
+    records = Records(columns, tuple(pools[0]), tuple(pools[1]))
+    rule = _first_fault(_record_faults(records))  # only rows before `fault` were kept
+    if rule is not None:
+        fault = (*rule, False)
+    if fault is not None:
+        row, message, names_file = fault
+        where = f"{path}: line" if names_file else "line"
+        raise SchemaError(f"{where} {_line_of_row(path, row)}: {message}")
+    if read_error is not None:
+        raise read_error
+    return CountryDataset.build(country_id if country_id is not None else str(path), records)
 
 
 def write_csv(ds: CountryDataset, path) -> None:
+    """Write `ds` with its visible labels; floats in repr form, so load_csv reads back every bit."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in ds.records:
-            writer.writerow(
-                [
-                    r.id,
-                    r.date.isoformat(),
-                    repr(r.quantity),
-                    repr(r.gross_weight),
-                    r.hs6,
-                    r.country_code,
-                    repr(r.cif_value),
-                    repr(r.total_taxes),
-                    "" if r.illicit is None else int(r.illicit),
-                    "" if r.revenue is None else repr(r.revenue),
-                ]
+        for lo in range(0, len(ds), _BLOCK_ROWS):
+            r = ds.records[lo : lo + _BLOCK_ROWS]
+            labels = r.illicit.tolist()
+            writer.writerows(
+                zip(
+                    r.ids.tolist(),
+                    [Date.fromordinal(d).isoformat() for d in r.days.tolist()],
+                    map(repr, r.quantity.tolist()),
+                    map(repr, r.gross_weight.tolist()),
+                    map(r.hs6_pool.__getitem__, r.hs6.tolist()),
+                    map(r.country_pool.__getitem__, r.country_code.tolist()),
+                    map(repr, r.cif_value.tolist()),
+                    map(repr, r.total_taxes.tolist()),
+                    ["" if label < 0 else label for label in labels],
+                    ["" if label < 0 else repr(v) for label, v in zip(labels, r.revenue.tolist())],
+                )
             )
 
 
@@ -299,14 +626,16 @@ _ORIGIN_POOL = (
 
 @dataclass(frozen=True)
 class _Pattern:
-    hs6_bucket: tuple[str, ...]
-    origins: tuple[str, ...]
+    hs6_bucket: tuple[int, ...]  # indices into the world's HS6 codes
+    origins: tuple[int, ...]  # indices into _ORIGIN_POOL
     log_gap: float  # mean log undervaluation of declared vs true value
 
 
 def _world_tables(cfg: SyntheticWorldConfig, rng: np.random.Generator):
-    codes = rng.choice(np.arange(100000, 100000 + _N_HS6_CODES), size=cfg.n_hs6, replace=False)
-    hs6_codes = [str(c) for c in codes]
+    # the draw of rng.choice over np.arange(100000, 100000 + _N_HS6_CODES),
+    # without the 7 MB array
+    codes = 100000 + rng.choice(_N_HS6_CODES, size=cfg.n_hs6, replace=False)
+    hs6_codes = tuple(str(c) for c in codes)
     log_ppk = rng.normal(math.log(20.0), 0.9, cfg.n_hs6)
     tariff = rng.uniform(0.05, 0.30, cfg.n_hs6)
     unit_weight = np.exp(rng.normal(math.log(5.0), 0.8, cfg.n_hs6))
@@ -317,11 +646,7 @@ def _world_tables(cfg: SyntheticWorldConfig, rng: np.random.Generator):
         origins = rng.choice(len(_ORIGIN_POOL), size=int(rng.integers(2, 4)), replace=False)
         gap = (0.25 + 1.0 * cfg.pattern_strength) * float(rng.uniform(0.9, 1.1))
         patterns.append(
-            _Pattern(
-                tuple(hs6_codes[i] for i in sorted(bucket)),
-                tuple(_ORIGIN_POOL[i] for i in sorted(origins)),
-                gap,
-            )
+            _Pattern(tuple(sorted(bucket.tolist())), tuple(sorted(origins.tolist())), gap)
         )
     return hs6_codes, log_ppk, tariff, unit_weight, patterns
 
@@ -337,9 +662,8 @@ def _generate_country(
     hs6_weights = rng.dirichlet(np.full(cfg.n_hs6, 5.0))
     price_shift = rng.normal(0.0, 0.15)
 
-    days = np.sort(rng.integers(0, spec.duration_days, n)).tolist()
-    start = _END_ANCHOR - timedelta(days=spec.duration_days - 1)
-    dates = {d: start + timedelta(days=d) for d in set(days)}  # one object per day
+    days = np.sort(rng.integers(0, spec.duration_days, n))
+    first_day = _END_ANCHOR.toordinal() - (spec.duration_days - 1)
 
     n_fraud = round(spec.base_illicit_rate * n)
     fraud = np.zeros(n, dtype=bool)
@@ -357,39 +681,33 @@ def _generate_country(
     honest_noise = rng.normal(0.0, 0.10, n)
     gap_jitter = rng.uniform(0.8, 1.2, n)
 
-    records = []
-    hs6_lookup = {h: i for i, h in enumerate(hs6_codes)}
-    for i in range(n):
-        if fraud[i]:
-            pat = patterns[pattern_of[i]]
-            hs6 = pat.hs6_bucket[int(rng.integers(0, len(pat.hs6_bucket)))]
-            origin = pat.origins[int(rng.integers(0, len(pat.origins)))]
-        else:
-            hs6 = hs6_codes[hs6_idx[i]]
-            origin = _ORIGIN_POOL[origin_idx[i]]
-        j = hs6_lookup[hs6]
-        gross = quantity[i] * unit_weight[j] * weight_noise[i]
-        true_value = gross * math.exp(log_ppk[j] + price_shift + value_noise[i])
-        if fraud[i]:
-            declared = true_value * math.exp(-patterns[pattern_of[i]].log_gap * gap_jitter[i])
-            revenue = tariff[j] * (true_value - declared)
-        else:
-            declared = true_value * math.exp(honest_noise[i])
-            revenue = 0.0
-        records.append(
-            ImportDeclaration(
-                id=i,
-                date=dates[days[i]],
-                quantity=float(quantity[i]),
-                gross_weight=float(gross),
-                hs6=hs6,
-                country_code=origin,
-                cif_value=float(declared),
-                total_taxes=float(tariff[j] * declared),
-                illicit=bool(fraud[i]),
-                revenue=float(revenue),
-            )
-        )
+    # a fraud draws its code and origin from its pattern, in record order
+    for i in np.flatnonzero(fraud).tolist():
+        pat = patterns[pattern_of[i]]
+        hs6_idx[i] = pat.hs6_bucket[int(rng.integers(0, len(pat.hs6_bucket)))]
+        origin_idx[i] = pat.origins[int(rng.integers(0, len(pat.origins)))]
+
+    # one record's arithmetic, done elementwise in the same order
+    gross = quantity * unit_weight[hs6_idx] * weight_noise
+    true_value = gross * map_column(math.exp, log_ppk[hs6_idx] + price_shift + value_noise)
+    log_gap = np.array([p.log_gap for p in patterns])
+    gap = np.where(fraud, -log_gap[pattern_of] * gap_jitter, honest_noise)
+    declared = true_value * map_column(math.exp, gap)
+    rate = tariff[hs6_idx]
+    columns = {
+        "ids": np.arange(n),
+        "days": first_day + days,
+        "quantity": quantity,
+        "gross_weight": gross,
+        "hs6": hs6_idx,
+        "country_code": origin_idx,
+        "cif_value": declared,
+        "total_taxes": rate * declared,
+        "illicit": fraud,
+        "revenue": np.where(fraud, rate * (true_value - declared), 0.0),
+    }
+    records = Records(columns, hs6_codes, _ORIGIN_POOL)
+    _check(records)
     return CountryDataset.build(spec.country_id, records)
 
 
@@ -420,22 +738,25 @@ class SplitSpec:
 
 
 def split(ds: CountryDataset, spec: SplitSpec) -> dict[str, CountryDataset]:
-    """Chronological partition into train, valid and test windows."""
-    if not ds.records:
+    """Chronological partition into train, valid and test windows; each part
+    is a slice of `ds` and shares its columns."""
+    days = ds.records.days
+    if not len(days):
         raise DataError(f"{ds.country_id}: cannot split an empty dataset")
-    first, last = ds.records[0].date, ds.records[-1].date
-    span = (last - first).days + 1
+    first, last = int(days[0]), int(days[-1])
+    span = last - first + 1
     if span <= spec.test_window_days + spec.valid_window_days:
         raise DataError(
             f"{ds.country_id}: spans {span} days, needs more than "
             f"{spec.test_window_days + spec.valid_window_days}"
         )
-    test_start = last - timedelta(days=spec.test_window_days - 1)
-    valid_start = test_start - timedelta(days=spec.valid_window_days)
+    test_start = last - (spec.test_window_days - 1)
+    valid_start = test_start - spec.valid_window_days
+    a, b = np.searchsorted(days, np.array((valid_start, test_start), days.dtype))
     return {
-        "train": ds.subset(lambda r: r.date < valid_start),
-        "valid": ds.subset(lambda r: valid_start <= r.date < test_start),
-        "test": ds.subset(lambda r: r.date >= test_start),
+        "train": ds.subset(slice(0, a)),
+        "valid": ds.subset(slice(a, b)),
+        "test": ds.subset(slice(b, None)),
     }
 
 
@@ -445,7 +766,7 @@ def mask_labels(ds: CountryDataset, fraction: float, seed: int) -> CountryDatase
     Selection is class-stratified (proportional, at least one record per
     present class when the budget allows) so tiny label budgets still carry
     both classes. Ground truth stays in `sealed` for evaluation; the result
-    shares it with `ds`.
+    shares it, and every column but the visible labels, with `ds`.
     """
     if not 0 < fraction <= 1:
         raise DataError(f"label fraction {fraction} out of (0, 1]")
@@ -453,40 +774,22 @@ def mask_labels(ds: CountryDataset, fraction: float, seed: int) -> CountryDatase
     budget = round(fraction * n)
     if fraction == 1.0:
         return ds
-    labeled_idx = [i for i, r in enumerate(ds.records) if r.illicit is not None]
-    pos = [i for i in labeled_idx if ds.records[i].illicit]
-    negd = [i for i in labeled_idx if not ds.records[i].illicit]
-    budget = min(budget, len(labeled_idx))
+    labels = ds.records.illicit
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
+    n_labeled = len(pos) + len(neg)
+    budget = min(budget, n_labeled)
     # feasible range for the positive quota given class availability
-    lo = max(0, budget - len(negd))
+    lo = max(0, budget - len(neg))
     hi = min(len(pos), budget)
-    share = len(pos) / len(labeled_idx) if labeled_idx else 0.0
+    share = len(pos) / n_labeled if n_labeled else 0.0
     keep_pos = min(max(round(budget * share), lo), hi)
-    if budget >= 2 and pos and negd:
+    if budget >= 2 and len(pos) and len(neg):
         keep_pos = min(max(keep_pos, 1), budget - 1)
     keep_neg = budget - keep_pos
     rng = np.random.default_rng(seed)
-    chosen = set()
-    for pool, quota in ((pos, keep_pos), (negd, keep_neg)):
+    visible = np.full(n, -1, dtype=np.int8)
+    for pool, quota in ((pos, keep_pos), (neg, keep_neg)):
         if quota > 0:
-            order = rng.permutation(len(pool))
-            chosen.update(pool[j] for j in order[:quota])
-    records = tuple(r if i in chosen else _hidden(r) for i, r in enumerate(ds.records))
-    return replace(ds, records=records)
-
-
-# each field's slot descriptor; a hidden twin copies all but the two labels
-_SLOTS = {f.name: vars(ImportDeclaration)[f.name] for f in fields(ImportDeclaration)}
-_LABEL_SETTERS = (_SLOTS.pop("illicit").__set__, _SLOTS.pop("revenue").__set__)
-_COPIED = tuple((slot.__set__, slot.__get__) for slot in _SLOTS.values())
-
-
-def _hidden(r: ImportDeclaration) -> ImportDeclaration:
-    """`r` with its label hidden; a checked record stays valid without one, so
-    the twin skips `__post_init__`."""
-    twin = object.__new__(ImportDeclaration)
-    for set_field, get_field in _COPIED:
-        set_field(twin, get_field(r))
-    for set_field in _LABEL_SETTERS:
-        set_field(twin, None)
-    return twin
+            chosen = pool[rng.permutation(len(pool))[:quota]]
+            visible[chosen] = labels[chosen]
+    return replace(ds, records=ds.records.relabeled(visible))

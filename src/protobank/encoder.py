@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .container import read_envelope, write_envelope
-from .declarations import CountryDataset, ImportDeclaration
+from .declarations import CountryDataset, Records, map_column
 from .errors import DataError, FormatError, NumericError
 from .numerics import Tensor
 
@@ -55,21 +55,22 @@ class FeatureStats:
     std: np.ndarray  # (5,), floored at 1e-6
 
 
-def record_features(rec: ImportDeclaration) -> tuple[float, float, float, float, float]:
-    return (
-        math.log(rec.quantity),
-        math.log(rec.gross_weight),
-        math.log(rec.cif_value),
-        math.log1p(rec.total_taxes),
-        rec.cif_value / rec.gross_weight,
-    )
+def record_features(records: Records) -> np.ndarray:
+    """The (n, 5) features of `records`, one row per record."""
+    feats = np.empty((len(records), len(FEATURE_NAMES)))
+    feats[:, 0] = map_column(math.log, records.quantity)
+    feats[:, 1] = map_column(math.log, records.gross_weight)
+    feats[:, 2] = map_column(math.log, records.cif_value)
+    feats[:, 3] = map_column(math.log1p, records.total_taxes)
+    feats[:, 4] = records.cif_value / records.gross_weight
+    return feats
 
 
 def standardize_stats(train: CountryDataset) -> FeatureStats:
     """Per-feature mean/stdev over the train split; stdev floored at 1e-6."""
     if not train.records:
         raise DataError("cannot compute feature statistics on an empty split")
-    feats = np.array([record_features(r) for r in train.records])
+    feats = record_features(train.records)
     return FeatureStats(feats.mean(axis=0), np.maximum(feats.std(axis=0), 1e-6))
 
 
@@ -144,8 +145,8 @@ class EncoderParams:
         """A fresh encoder fitted to a train split: its sorted distinct HS6 codes
         and origins, and its feature statistics."""
         recs = train.records
-        hs6_vocab = _vocab_from_list(sorted({r.hs6 for r in recs}))
-        country_vocab = _vocab_from_list(sorted({r.country_code for r in recs}))
+        hs6_vocab = _vocab_from_list(_present(recs.hs6_pool, recs.hs6))
+        country_vocab = _vocab_from_list(_present(recs.country_pool, recs.country_code))
         return EncoderParams.init(rng, hs6_vocab, country_vocab, standardize_stats(train), config)
 
     def reinit_head(self, rng: np.random.Generator) -> None:
@@ -160,13 +161,25 @@ def copy_tensors(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k: Tensor(t.data.copy(), requires_grad=True) for k, t in tensors.items()}
 
 
-def batch_inputs(params: EncoderParams, records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _present(pool: tuple[str, ...], codes: np.ndarray) -> list[str]:
+    """The sorted distinct pooled values that `codes` use."""
+    return sorted(pool[c] for c in np.unique(codes).tolist())
+
+
+def _vocab_indices(vocab: dict[str, int], pool: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+    """`vocab` index of each pooled value; an unseen value gets len(vocab)."""
+    used, inverse = np.unique(codes, return_inverse=True)
+    index = np.array([vocab.get(pool[c], len(vocab)) for c in used.tolist()], dtype=np.int64)
+    return index[inverse]
+
+
+def batch_inputs(
+    params: EncoderParams, records: Records
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standardized features and vocab indices for a record sequence."""
-    feats = np.array([record_features(r) for r in records])
-    feats = (feats - params.stats.mean) / params.stats.std
-    hs6, cty = params.hs6_vocab, params.country_vocab  # an unseen code gets index len(vocab)
-    hs6_idx = np.array([hs6.get(r.hs6, len(hs6)) for r in records], dtype=np.int64)
-    cty_idx = np.array([cty.get(r.country_code, len(cty)) for r in records], dtype=np.int64)
+    feats = (record_features(records) - params.stats.mean) / params.stats.std
+    hs6_idx = _vocab_indices(params.hs6_vocab, records.hs6_pool, records.hs6)
+    cty_idx = _vocab_indices(params.country_vocab, records.country_pool, records.country_code)
     return feats, hs6_idx, cty_idx
 
 

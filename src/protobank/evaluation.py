@@ -58,11 +58,11 @@ def revenue_at_k(scores, test: CountryDataset, rate: float = 0.05) -> float:
     n = len(test.records)
     if scores.shape != (n,):
         raise DataError(f"got {scores.shape[0] if scores.ndim else 0} scores for {n} records")
-    revenues = np.empty(n)
-    for i, r in enumerate(test.sealed):
-        if r.revenue is None:
-            raise DataError(f"record {r.id} has no sealed label")
-        revenues[i] = r.revenue
+    sealed = test.sealed
+    unlabeled = np.flatnonzero(sealed.illicit < 0)
+    if unlabeled.size:
+        raise DataError(f"record {sealed.ids[unlabeled[0]]} has no sealed label")
+    revenues = sealed.revenue
     total = revenues.sum()
     if total <= 0:
         raise MetricError("total collectible revenue is zero; metric undefined")

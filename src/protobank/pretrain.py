@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .declarations import CountryDataset, check_int
+from .declarations import CountryDataset, Records, check_int
 from .encoder import (
     EncoderConfig,
     EncoderParams,
@@ -120,7 +120,7 @@ def stratified_batches(
 def inspected(scores: np.ndarray, records, rate: float) -> np.ndarray:
     """Indices of the ceil(rate * n) records an inspector opens: the highest
     scores first, ties broken by ascending record id."""
-    order = np.lexsort((np.array([r.id for r in records]), -scores))
+    order = np.lexsort((records.ids, -scores))
     return order[: math.ceil(rate * len(records))]
 
 
@@ -132,15 +132,15 @@ def valid_metric(scores: np.ndarray, valid: CountryDataset) -> tuple[float, bool
     try:
         return revenue_at_k(scores, valid, 0.05), True
     except (MetricError, DataError):
-        labels = np.array([1.0 if r.illicit else 0.0 for r in valid.sealed])
+        labels = (valid.sealed.illicit == 1).astype(np.float64)
         p = np.clip(scores, 1e-12, 1 - 1e-12)
         return float(np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))), False
 
 
-def labeled_targets(ds: CountryDataset, stage: str) -> tuple[list, np.ndarray]:
+def labeled_targets(ds: CountryDataset, stage: str) -> tuple[Records, np.ndarray]:
     """Labeled records and their 0/1 targets; both classes must be present."""
     labeled = ds.labeled()
-    y = np.array([1 if r.illicit else 0 for r in labeled])
+    y = labeled.illicit.astype(np.int64)
     if len(np.unique(y)) < 2:
         raise DataError(f"{ds.country_id}: {stage} needs labeled records of both classes")
     return labeled, y
@@ -223,6 +223,6 @@ def select_fraud_like(
         raise DataError(f"{ds.country_id}: cannot select from an empty dataset")
     if not 0 < fraction <= 1:
         raise DataError(f"fraction {fraction} out of (0, 1]")
-    scores = score_records(params, ds.records)
-    keep = {ds.records[i].id for i in inspected(scores, ds.records, fraction)}
-    return ds.subset(lambda r: r.id in keep)
+    keep = np.zeros(len(ds), dtype=bool)
+    keep[inspected(score_records(params, ds.records), ds.records, fraction)] = True
+    return ds.subset(keep)

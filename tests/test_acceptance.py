@@ -32,6 +32,7 @@ from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.declarations import (
     CountryDataset,
     ImportDeclaration,
+    Records,
     SplitSpec,
     generate_world,
     mask_labels,
@@ -139,7 +140,7 @@ def test_criterion_01_gradient_correctness():
         n = int(rng.integers(3, 6))
         params = _random_adapt(rng, k, d, kernels=2)
         records = _random_records(rng, n)
-        feats, hi, ci = batch_inputs(params.encoder, records)
+        feats, hi, ci = batch_inputs(params.encoder, Records.of(records))
         y = Tensor(np.array([[1.0 if r.illicit else 0.0] for r in records]))
         bank_rows = params.bank_matrix = rng.normal(size=(int(rng.integers(2, 5)), d))
 

@@ -22,7 +22,7 @@ from protobank.adapt import (
 )
 from protobank.bank import assemble
 from protobank.container import PrototypeSet
-from protobank.declarations import SplitSpec, split
+from protobank.declarations import Records, SplitSpec, split
 from protobank.encoder import EncoderConfig, EncoderParams, batch_inputs, save_encoder
 from protobank.errors import DataError, NumericError, ShapeError
 from protobank.numerics import Tensor
@@ -190,13 +190,13 @@ class TestScoringChunks:
             return attend(h, memory)
 
         monkeypatch.setattr(adapt, "memory_attend", counted)
-        score_records(model, (world[1] * 2)[:2100])
+        score_records(model, (world[1] + world[1])[:2100])
         assert [n for n, _ in seen] == calls
         assert all(memory is model.bank for _, memory in seen)
 
     def test_score_records_memory_flat_in_bank_rows(self, world):
         model = world_model(world, 50_000)
-        records = (world[1] * 2)[:2048]
+        records = (world[1] + world[1])[:2048]
         tracemalloc.start()
         try:
             score_records(model, records)
@@ -323,7 +323,7 @@ class TestFinetune:
 
     def test_single_class_labels_rejected(self):
         parts = self._parts()
-        clean = parts["train"].subset(lambda r: not r.illicit)
+        clean = parts["train"].subset(parts["train"].records.illicit != 1)
         with pytest.raises(DataError):
             finetune(clean, parts["valid"], None, None, SMALL_FT)
 
@@ -438,8 +438,10 @@ class TestAkc:
         from protobank.adapt import consistency_subset
         from tests.test_declarations import make_record
 
-        labeled = [make_record(i, day=i, illicit=i % 2 == 0, revenue=1.0 if i % 2 == 0 else 0.0)
-                   for i in range(10)]
+        labeled = Records.of(
+            make_record(i, day=i, illicit=i % 2 == 0, revenue=1.0 if i % 2 == 0 else 0.0)
+            for i in range(10)
+        )
         src = np.linspace(0.0, 0.9, 10)
         tgt = src + np.array([0.5, 0.4, 0.3, 0.2, 0.1, 0.0, 0.1, 0.2, 0.3, 0.4])
         picked = consistency_subset(labeled, src, tgt, 0.2)

@@ -314,7 +314,7 @@ class TestExtractPrototypes:
         assert np.array_equal(proto_a.nonfraud_prototypes, proto_b.nonfraud_prototypes)
 
     def test_missing_class_rejected(self):
-        clean = self.train.subset(lambda r: not r.illicit)
+        clean = self.train.subset(self.train.records.illicit != 1)
         with pytest.raises(DataError):
             extract_prototypes(self.params, clean, per_class=5, seed=0)
 

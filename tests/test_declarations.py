@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protobank.declarations import (
+    CSV_COLUMNS,
     CountryDataset,
     CountrySpec,
     ImportDeclaration,
@@ -22,6 +23,7 @@ from protobank.declarations import (
     write_csv,
 )
 from protobank.errors import DataError, SchemaError
+from tests import csv_oracle
 
 
 _CSV_HEADER = b"id,date,quantity,gross_weight,hs6,country_code,cif_value,total_taxes,illicit,revenue\n"
@@ -84,6 +86,33 @@ class TestImportDeclaration:
     def test_price_per_kg_at_bound_accepted(self):
         rec = replace(make_record(0), cif_value=1e100, gross_weight=1.0)
         assert rec.cif_value / rec.gross_weight == 1e100
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"quantity": "5"}, "quantity must be a number, got '5'"),
+            ({"total_taxes": None}, "total_taxes must be a number, got None"),
+            ({"date": "2024-01-01"}, "date must be a date"),
+            ({"hs6": 100001}, "hs6 must be a str"),
+            ({"id": "3"}, "id must be an integer"),
+            ({"illicit": 1}, "illicit must be a bool or None"),
+            ({"revenue": "0"}, "revenue must be a number or None"),
+        ],
+    )
+    def test_field_of_the_wrong_type_rejected(self, change, message):
+        with pytest.raises(SchemaError, match=message):
+            replace(make_record(3), **change)
+
+    @pytest.mark.parametrize("rid", [2**63, -(2**63) - 1, 10**20])
+    def test_id_beyond_int64_rejected(self, rid):
+        with pytest.raises(SchemaError, match=f"record {rid}: id does not fit in 64 bits"):
+            replace(make_record(0), id=rid)
+
+    def test_int64_bounds_and_numpy_scalars_accepted(self):
+        for rid in (2**63 - 1, -(2**63), np.int64(5)):
+            assert replace(make_record(0), id=rid).id == rid
+        rec = replace(make_record(0), quantity=np.float32(2.0), total_taxes=0, illicit=np.True_)
+        assert rec.quantity == 2.0
 
 
 class TestDatasetBuild:
@@ -201,6 +230,223 @@ class TestCsv:
             assert isinstance(ds, CountryDataset)
 
 
+_HS6S = ("100001", "200002", "345678", "999999")
+_CCS = ("US", "de", "Cn")
+
+
+@st.composite
+def csv_rows(draw):
+    """Cells of 0-8 valid declaration rows with distinct ids, in varied spellings."""
+    n = draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(-10**12, 10**12), min_size=n, max_size=n, unique=True))
+    spaced = st.sampled_from(("{}", " {}", "{} "))
+    positive = st.floats(1e-3, 1e6)
+
+    def number(value):
+        return draw(st.sampled_from(("{!r}", "{:.6e}", " {!r}"))).format(value)
+
+    rows = []
+    for rid in ids:
+        label = draw(st.sampled_from(("", "0", "1")))
+        if label == "1":
+            revenue = number(draw(st.floats(0.0, 1e5)))
+        else:
+            revenue = draw(st.sampled_from(("", "0", "0.0")))
+        rows.append([
+            draw(st.sampled_from(("{}", " {}", "+{}"))).format(rid) if rid >= 0 else str(rid),
+            draw(spaced).format(draw(st.dates(date(2020, 1, 1), date(2024, 12, 31))).isoformat()),
+            number(draw(positive)),
+            number(draw(positive)),
+            draw(spaced).format(draw(st.sampled_from(_HS6S))),
+            draw(spaced).format(draw(st.sampled_from(_CCS))),
+            number(draw(positive)),
+            number(draw(st.floats(0.0, 1e6))),
+            draw(spaced).format(label),
+            revenue,
+        ])
+    return rows
+
+
+# (column, bad cell) pairs, one per rule and parse step; "illicit" pairs set
+# both label cells
+_FAULTS = [
+    ("hs6", "12AB56"),
+    ("country_code", "U1"),
+    ("quantity", "0"),
+    ("quantity", "nan"),
+    ("gross_weight", "-1.5"),
+    ("cif_value", "inf"),
+    ("cif_value", "1e300"),  # price_per_kg over its bound
+    ("total_taxes", "-0.5"),
+    ("illicit", ("2", "")),
+    ("illicit", ("1", "-3")),  # negative revenue
+    ("illicit", ("0", "5.0")),  # revenue on a non-fraud
+    ("illicit", ("", "3")),  # revenue on an unlabeled row
+    ("illicit", ("1", "x")),
+    ("date", "2024-13-01"),
+    ("date", "yesterday"),
+    ("id", "1.5"),
+    ("id", "x"),
+    ("quantity", "abc"),
+    ("total_taxes", ""),
+    ("short", None),
+    ("utf8", None),
+]
+
+
+def _csv_bytes(rows) -> bytes:
+    """The CSV of `rows`; a lone surrogate in a cell becomes its byte, which is not UTF-8."""
+    lines = (",".join(r).encode("utf-8", "surrogateescape") + b"\n" for r in rows)
+    return _CSV_HEADER + b"".join(lines)
+
+
+def _field_tuples(ds):
+    return [tuple(getattr(r, f.name) for f in fields(ImportDeclaration)) for r in ds.records]
+
+
+def _outcome(load, path):
+    try:
+        return load(path), None
+    except SchemaError as e:
+        return None, str(e)
+
+
+class TestCsvOracle:
+    """The columnar load_csv against the row-at-a-time reader of tests/csv_oracle.py."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(csv_rows())
+    def test_valid_rows_match_the_oracle(self, rows):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "t.csv")
+            with open(path, "wb") as fh:
+                fh.write(_csv_bytes(rows))
+            want = csv_oracle.load_rows(path)
+            got = _field_tuples(load_csv(path))
+        assert got == want
+        for a, b in zip(got, want):
+            assert [type(v) for v in a] == [type(v) for v in b]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(csv_rows().filter(bool), st.sampled_from(_FAULTS), st.data())
+    def test_one_faulty_cell_gives_the_oracles_error(self, rows, fault, data):
+        body = [list(r) for r in rows]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        _same_error_as_oracle(_csv_bytes(_spoil(body, i, fault, data)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(csv_rows().filter(bool), st.lists(st.sampled_from(_FAULTS), min_size=2, max_size=2),
+           st.data())
+    def test_first_of_two_faults_is_the_oracles(self, rows, faults, data):
+        # two faults in one row show the check order, in two rows the row order
+        body = [list(r) for r in rows]
+        for fault in faults:
+            body = _spoil(body, data.draw(st.integers(0, len(rows) - 1)), fault, data)
+        _same_error_as_oracle(_csv_bytes(body))
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            [(2500, ("hs6", "12AB56"))],
+            [(1100, ("short", None)), (1050, ("date", "2024-02-30"))],
+            [(2900, ("utf8", None)), (100, ("quantity", "-2"))],
+            [(3000, ("utf8", None)), (1500, ("id", "x"))],
+            # text is decoded in chunks: a bad byte in the chunk of an earlier
+            # faulty row is met before that row is parsed
+            [(110, ("utf8", None)), (100, ("quantity", "-2"))],
+        ],
+        ids=["rule", "parse-before-short", "rule-before-utf8", "parse-before-utf8", "utf8-first"],
+    )
+    def test_faults_past_the_first_block_match_the_oracle(self, faults):
+        # a quoted note spans two lines on every 7th row, so lines are not rows
+        body = [[str(k), f"2024-01-{1 + k % 28:02d}", "1.0", "2.0", "100001", "US", "10.0", "1.0",
+                 "0", "0", '"a\nb"' if k % 7 == 0 else "c"] for k in range(3200)]
+        for row, fault in faults:
+            body = _spoil(body, row, fault, None)
+        header = _CSV_HEADER.rstrip(b"\n") + b",note\n"
+        _same_error_as_oracle(header + _csv_bytes(body)[len(_CSV_HEADER):])
+
+    def test_rows_may_leave_off_a_trailing_extra_cell(self, tmp_path):
+        header = _CSV_HEADER.rstrip(b"\n") + b",note\n"
+        body = [[str(k), "2024-01-01", "1.0", "2.0", "100001", "US", "10.0", "1.0", "0", "0", "n"]
+                for k in range(3)]
+        body[1] = body[1][:10]
+        path = tmp_path / "t.csv"
+        path.write_bytes(header + _csv_bytes(body)[len(_CSV_HEADER):])
+        assert _field_tuples(load_csv(path)) == csv_oracle.load_rows(path)
+        _same_error_as_oracle(header + _csv_bytes(_spoil(body, 2, ("hs6", "12AB56"), None))[len(_CSV_HEADER):])
+
+    def test_id_beyond_int64_is_malformed(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(_CSV_HEADER + b"99999999999999999999,2024-01-01,1,2,100001,US,10,1,0,0\n")
+        assert csv_oracle.load_rows(path)[0][0] == 99999999999999999999  # the oracle read it
+        with pytest.raises(SchemaError, match=r"line 2: malformed row \(Python int too large"):
+            load_csv(path)
+
+
+def _spoil(body: list, i: int, fault, data) -> list:
+    """`body` with row `i` made faulty; "short" rows lose fields, "utf8" rows a byte."""
+    column, cell = fault
+    if column == "short":
+        body[i] = body[i][: data.draw(st.integers(1, 9)) if data else 5]
+    elif column == "utf8":
+        body[i][1] = "\udcff" + body[i][1]  # written as the lone byte 0xff
+    elif column == "illicit":
+        body[i][8], body[i][9] = cell
+    else:
+        body[i][CSV_COLUMNS.index(column)] = cell
+    return body
+
+
+def _same_error_as_oracle(raw: bytes) -> None:
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        want = _outcome(csv_oracle.load_rows, path)
+        got = _outcome(load_csv, path)
+    assert want[1] is not None and got[1] == want[1]
+
+
+class TestCsvStrictness:
+    def _load(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        return path
+
+    def test_long_row_names_its_line(self, tmp_path):
+        path = self._load(tmp_path, _CSV_HEADER.decode() + "0,2024-01-01,1.0,2.0,100001,US,10.0,1.0,0,0\n"
+                          "1,2024-01-02,1.0,2.0,100001,US,10.0,1.0,0,0,7\n")
+        with pytest.raises(SchemaError, match="line 3: more fields than the header"):
+            load_csv(path)
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        header = _CSV_HEADER.decode().strip() + ",quantity\n"
+        path = self._load(tmp_path, header + "0,2024-01-01,1.0,2.0,100001,US,10.0,1.0,0,0,5.0\n")
+        with pytest.raises(SchemaError, match="header names column 'quantity' more than once"):
+            load_csv(path)
+
+    def test_duplicate_ids_name_the_first_repeat(self, tmp_path):
+        rows = [(4, 3), (7, 1), (4, 2), (7, 5)]  # (id, day): id 4 repeats first in file order
+        body = "".join(f"{i},2024-01-0{d},1.0,2.0,100001,US,10.0,1.0,0,0\n" for i, d in rows)
+        path = self._load(tmp_path, _CSV_HEADER.decode() + body)
+        with pytest.raises(SchemaError, match=r"duplicate record ids \(4 repeats\)"):
+            load_csv(path, country_id="T")
+
+    @pytest.mark.parametrize(
+        "extra_header, message",
+        [("", "line 2: more fields than the header"), (",id", "column 'id' more than once")],
+        ids=["long-row", "repeated-column"],
+    )
+    def test_cli_exits_2(self, tmp_path, extra_header, message, capsys):
+        from protobank.cli import main
+
+        header = _CSV_HEADER.decode().strip() + extra_header
+        path = self._load(tmp_path, f"{header}\n0,2024-01-01,1.0,2.0,100001,US,10.0,1.0,0,0,7\n")
+        assert main(["pretrain", "--data", str(path), "--out", str(tmp_path / "m.pbm")]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestSplit:
     def _spread(self, n_days):
         return CountryDataset.build(
@@ -224,6 +470,15 @@ class TestSplit:
         assert sorted(ids) == sorted(r.id for r in ds.records)
         assert len(set(ids)) == len(ids)  # pairwise disjoint
         assert len(parts["train"]) + len(parts["valid"]) + len(parts["test"]) == len(ds)
+
+    def test_subset_takes_only_order_keeping_selections(self):
+        ds = self._spread(10)
+        for keep in (np.array([5, 0, 0]), np.array([0, 1]), [True] * len(ds),
+                     np.ones(len(ds) - 1, dtype=bool), slice(None, None, -1)):
+            with pytest.raises(ValueError):
+                ds.subset(keep)
+        every_other = ds.subset(slice(None, None, 2))
+        assert [r.id for r in every_other.records] == [r.id for r in ds.records][::2]
 
     def test_too_short_errors(self):
         ds = self._spread(10)
@@ -281,6 +536,19 @@ class TestMaskLabels:
         ds = make_dataset(40, n_days=20)
         masked = mask_labels(ds, 0.1, 2)
         assert masked.sealed is ds.sealed
+
+    def test_hidden_revenue_stays_sealed(self):
+        ds = make_dataset(60, n_days=20, fraud_every=3)
+        masked = mask_labels(ds, 0.1, 2)
+        hidden = masked.records.illicit < 0
+        assert (ds.records.revenue[hidden] > 0).any()
+        assert not masked.records.revenue[hidden].any()
+        assert not mask_labels(masked, 0.5, 3).records.revenue[hidden].any()
+        # a subset's truth comes from the sealed columns, not the visible ones
+        keep = np.arange(len(ds)) % 2 == 0
+        part = masked.subset(keep)
+        assert part.sealed == ds.records[keep]
+        assert not part.records.revenue[part.records.illicit < 0].any()
 
     def test_keeps_both_classes_when_budget_allows(self):
         ds = make_dataset(100, n_days=25, fraud_every=10)
@@ -393,15 +661,29 @@ def _traced_bytes(make):
             tracemalloc.stop()
 
 
+def _traced_peak(make) -> int:
+    """Peak bytes traced while `make()` runs, above what was held before."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        make()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def _one_object_per_value(values) -> bool:
     first = {}
     return all(first.setdefault(v, v) is v for v in values)
 
 
 class TestRecordMemory:
-    # the shape of perfbench's score_bulk CSV, a third of its rows
+    # perfbench's score_bulk CSV: 20000 rows over 180 days
     CONFIG = SyntheticWorldConfig(
-        seed=11, countries=(CountrySpec("AA", 6000, 180, 0.05, (0,)),), n_shared_patterns=1
+        seed=11, countries=(CountrySpec("AA", 20000, 180, 0.05, (0,)),), n_shared_patterns=1
     )
 
     @pytest.fixture(scope="class")
@@ -412,21 +694,33 @@ class TestRecordMemory:
         return generated, path
 
     def test_load_csv_bytes_per_record(self, generated_and_loaded):
-        # slotted records sharing their dates and codes, and serving as their
-        # own ground truth, hold about 270 bytes each here; a label table
-        # beside them would add about 105
+        # columns hold about 62 bytes a row here; records of slotted objects
+        # sharing their dates and codes held about 270
         _, path = generated_and_loaded
         ds, held = _traced_bytes(lambda: load_csv(path))
-        assert held / len(ds) < 320
+        assert held / len(ds) < 100
+
+    def test_load_csv_peak(self, generated_and_loaded):
+        # about 2.9 MiB here, a 1024-row block's strings and the columns;
+        # reading records one row at a time peaked at 8.0
+        _, path = generated_and_loaded
+        assert _traced_peak(lambda: load_csv(path)) < 4.0 * 2**20
+
+    def test_generate_world_peak(self):
+        # about 7.0 MiB for 40000 rows; one record object at a time peaked at 15.5
+        cfg = SyntheticWorldConfig(
+            seed=14, countries=(CountrySpec("SRC", 40000, 240, 0.04, (0, 1)),), n_shared_patterns=2
+        )
+        assert _traced_peak(lambda: generate_world(cfg)) < 10.0 * 2**20
 
     def test_mask_labels_bytes_per_twin(self, generated_and_loaded):
-        # a hidden twin in slots that shares its dataset's ground truth holds
-        # about 120 bytes here; a copied label table would add about 70
+        # a masked dataset holds a new label byte and a new revenue (zero
+        # where hidden) per row, 9 bytes, and shares the rest
         ds = generated_and_loaded[0]
         masked, held = _traced_bytes(lambda: mask_labels(ds, 0.01, 5))
         hidden = sum(r.illicit is None for r in masked.records)
-        assert hidden == len(ds) - 60
-        assert held / hidden < 150
+        assert hidden == len(ds) - 200
+        assert held / hidden < 12
 
     def test_records_share_values_and_keep_dataclass_behaviour(self, generated_and_loaded):
         generated, path = generated_and_loaded

@@ -10,6 +10,7 @@ from protobank import numerics as nm
 from protobank.declarations import (
     CountryDataset,
     CountrySpec,
+    Records,
     SplitSpec,
     SyntheticWorldConfig,
     generate_world,
@@ -108,7 +109,7 @@ class TestEmbed:
         h_again = embed_matrix(params, ds.records)
         assert np.array_equal(h_once, h_again)
         perm = np.random.default_rng(1).permutation(len(ds.records))
-        shuffled = [ds.records[i] for i in perm]
+        shuffled = ds.records[perm]
         h_shuf = embed_matrix(params, shuffled)
         assert np.array_equal(h_shuf, h_once[perm])
 
@@ -125,10 +126,10 @@ class TestEmbed:
     def test_unknown_categories_use_reserved_row(self):
         params = small_params()
         rec = make_record(0, hs6="999999", cc="ZZ")
-        feats, hs6_idx, cty_idx = batch_inputs(params, [rec])
+        feats, hs6_idx, cty_idx = batch_inputs(params, Records.of([rec]))
         assert hs6_idx[0] == len(params.hs6_vocab)
         assert cty_idx[0] == len(params.country_vocab)
-        h = embed_matrix(params, [rec])  # must not raise
+        h = embed_matrix(params, Records.of([rec]))  # must not raise
         assert np.all(np.isfinite(h))
 
     def test_from_split_maps_only_the_train_codes(self):
@@ -228,7 +229,7 @@ class TestSerialization:
 
 def test_record_features_definition():
     rec = make_record(0)
-    f = record_features(rec)
+    (f,) = record_features(Records.of([rec]))
     assert f[0] == math.log(rec.quantity)
     assert f[4] == rec.cif_value / rec.gross_weight
 

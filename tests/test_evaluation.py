@@ -126,7 +126,7 @@ class TestRevenueAtK:
         spec = SplitSpec(10, 5)
         for plain, part in zip(split(ds, spec).values(), split(masked, spec).values()):
             assert [s.id for s in part.sealed] == [r.id for r in part.records]
-            assert all(s is truth[s.id] for s in part.sealed)  # the unmasked records
+            assert all(s == truth[s.id] for s in part.sealed)  # the unmasked records
             pairs = zip(part.records, part.sealed)
             assert any(r.illicit is None and s.illicit for r, s in pairs)  # hidden frauds
             got = scores[: len(part)]

@@ -99,7 +99,7 @@ def data_line(world, tmp: Path) -> str:
 
 def mask_line(train, seed: int) -> str:
     rng = np.random.default_rng(seed)
-    half = train.subset(lambda r: r.id % 2 == 0)
+    half = train.subset(train.records.ids % 2 == 0)
     return (
         f"seed{seed} mask {sha(record_bytes(train.records))}"
         f" revenue_at_k {pb.revenue_at_k(rng.random(len(train)), train).hex()}"

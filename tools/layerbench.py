@@ -1,0 +1,122 @@
+"""Time the data path layer by layer at large row counts and print one JSON object.
+
+    python tools/layerbench.py --rows 200000 1000000
+    python tools/layerbench.py --tree ../other-checkout --rows 200000
+
+For each row count it generates a one-country world of that many
+declarations (world seed `SEED`, 3; 365 days, a 5 % fraud rate), writes it as a
+CSV under a temporary directory and measures, in this order:
+
+- `load_csv` of that CSV;
+- `split` with the default windows;
+- `mask_labels(train, 0.01)`;
+- `batch_inputs` over every record;
+- `encoder.score_records` over every record, with an untrained encoder
+  fitted to the train split (scoring costs the same trained or not).
+
+Each stage runs twice on the same input: once plain for its wall seconds,
+once under tracemalloc for its peak of traced memory above what was held
+before it. `--tree` names the checkout whose `src/` is imported (default:
+this one), so the same script measures two trees. BLAS runs on one thread.
+`peak_rss_mib` is the process's peak resident set over every row count.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import resource  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+SEED = 3  # seeds the world, the mask and the encoder
+
+
+def measure(fn) -> tuple[object, dict]:
+    """`fn()` and its wall seconds and tracemalloc peak (MiB), from two calls."""
+    gc.collect()
+    t0 = time.perf_counter()
+    fn()
+    seconds = time.perf_counter() - t0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, {"s": round(seconds, 4), "peak_mib": round(peak / 2**20, 2)}
+
+
+def run(rows: int, tmp: Path) -> dict:
+    import numpy as np
+
+    from protobank.declarations import (
+        CountrySpec,
+        SplitSpec,
+        SyntheticWorldConfig,
+        generate_world,
+        load_csv,
+        mask_labels,
+        split,
+        write_csv,
+    )
+    from protobank.encoder import EncoderParams, batch_inputs, score_records
+
+    cfg = SyntheticWorldConfig(seed=SEED, countries=(CountrySpec("BIG", rows, 365, 0.05, (0,)),))
+    t0 = time.perf_counter()
+    path = tmp / f"big{rows}.csv"
+    write_csv(generate_world(cfg)["BIG"], path)
+    stages = {"generate_and_write_s": round(time.perf_counter() - t0, 4)}
+    ds, stages["load_csv"] = measure(lambda: load_csv(path, country_id="BIG"))
+    parts, stages["split"] = measure(lambda: split(ds, SplitSpec()))
+    _, stages["mask_labels"] = measure(lambda: mask_labels(parts["train"], 0.01, SEED))
+    params = EncoderParams.from_split(np.random.default_rng(SEED), parts["train"])
+    _, stages["batch_inputs"] = measure(lambda: batch_inputs(params, ds.records))
+    _, stages["score_records"] = measure(lambda: score_records(params, ds.records))
+    data_path = ("load_csv", "split", "mask_labels")
+    stages["load_split_mask_s"] = round(sum(stages[k]["s"] for k in data_path), 4)
+    return stages
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="checkout whose src/ is measured (default: this one)")
+    parser.add_argument("--rows", type=int, nargs="+", default=[200_000])
+    args = parser.parse_args()
+    sys.path.insert(0, str(args.tree.resolve() / "src"))
+    import numpy as np
+
+    commit = subprocess.run(["git", "-C", str(args.tree), "describe", "--always", "--dirty"],
+                            capture_output=True, text=True, check=False).stdout.strip()
+    result = {
+        "tree": str(args.tree),
+        "commit": commit,
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "blas_threads": 1},
+        "seed": SEED,
+        "rows": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for rows in args.rows:
+            result["rows"][str(rows)] = run(rows, Path(tmp))
+    result["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
