@@ -192,8 +192,11 @@ _INTERACTION_BLOCK = 64
 def _pooled_interaction(t: dict[str, Tensor], p: Tensor, q: Tensor) -> Tensor:
     """(N, c) channel means of the ReLU'd convolution over each p q^T map."""
     interaction = nm.outer(p, q)  # (N, k, k)
-    conv = nm.relu(nm.conv2d(interaction, t["conv_kernels"], t["conv_bias"]))
-    return nm.reduce_mean(conv, axis=(2, 3))  # global average per channel
+    conv = nm.conv2d(interaction, t["conv_kernels"], t["conv_bias"])
+    # One (N, c, k, k) buffer is the conv output, the ReLU output and the
+    # ReLU's gradient: conv2d's VJP reads only its input and kernels, and
+    # reduce_mean's only the shape.
+    return nm.reduce_mean(nm.relu(conv, out=conv.data), axis=(2, 3))  # mean per channel
 
 
 def embed_batch(

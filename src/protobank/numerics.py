@@ -8,6 +8,14 @@ data, `exp`, `log`) and where they are committed or leave (`opt_step`, the
 loss in `pretrain.fit`, `encoder.forward_rows`), so a NaN/Inf raises
 NumericError instead of silently propagating through a training step.
 
+`backward` consumes the graph as it runs: each node drops its parents and
+VJP once its gradient has been passed on, so a step's intermediates are
+freed during the backward pass, not when the next step's loss replaces it.
+A second `backward` from the same output reaches no parameter. `relu` and
+`softmax` take numpy's `out=`; `relu`'s VJP also writes its gradient into
+`out`, so one buffer can be an op's output, the ReLU's output and the
+gradient flowing back into that op (`encoder` does this with the conv map).
+
 Whether an op records its place in the graph is decided here and only
 here: inside `no_grad()` the calling thread's ops build no graph, whatever
 their inputs' `requires_grad` flags say, and those flags are never touched.
@@ -51,7 +59,7 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Accumulate gradients of this (scalar) node into the graph."""
+        """Accumulate gradients of this (scalar) node into the graph, consuming it."""
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -70,15 +78,21 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        # A node leaves `order` and drops its parents and VJP once visited, so
+        # every intermediate (and what its VJP closes over) is freed as soon as
+        # its gradient has been used.
+        while order:
+            node = order.pop()
+            parents, vjp = node._parents, node._vjp
+            node._parents, node._vjp = (), None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
-            if node._vjp is None:
+            if vjp is None:
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None:
                     continue
                 key = id(parent)
@@ -208,10 +222,18 @@ def outer(u, v) -> Tensor:
     )
 
 
-def relu(a) -> Tensor:
+def relu(a, out: Array | None = None) -> Tensor:
+    """`a * (a > 0)`, written into `out` as numpy's `out=` is.
+
+    Without `out` the result is a fresh array and `a` is never written. With
+    `out` the VJP writes its gradient into `out` too, so the output must not be
+    read once backward has passed it. `out` may be `a.data` itself when nothing
+    else reads `a`'s values afterwards, backward included.
+    """
     a = _wrap(a)
     mask = a.data > 0
-    return _node(a.data * mask, (a,), lambda g: (g * mask,))
+    res = np.multiply(a.data, mask, out=out)
+    return _node(res, (a,), lambda g: (np.multiply(g, mask, out=out),))
 
 
 def tanh(a) -> Tensor:
@@ -282,7 +304,7 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / denom, a.shape).copy(),)
+        return (np.broadcast_to(g / denom, a.shape),)  # a read-only view
 
     return _node(out, (a,), vjp)
 

@@ -364,9 +364,10 @@ class TestBlockedInteraction:
             params = base.copy()
             h = forward(params, *inputs)
             loss = nm.reduce_sum(nm.mul(h, weights))
+            signature = graph_signature(loss)  # backward consumes the graph
             loss.backward()
             grads = {k: t.grad.tobytes() for k, t in params.tensors.items() if t.grad is not None}
-            runs.append((h.data.tobytes(), graph_signature(loss), grads))
+            runs.append((h.data.tobytes(), signature, grads))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
         assert "conv_kernels" in runs[0][2] and runs[0][2] == runs[1][2]

@@ -1,3 +1,4 @@
+import functools
 import sys
 import threading
 
@@ -97,6 +98,32 @@ def test_relu_subgradient():
     x = Tensor([-1.0, 2.0], requires_grad=True)
     nm.reduce_sum(nm.relu(x)).backward()
     assert np.array_equal(x.grad, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("into", ["input", "buffer", None])
+@pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 2, 4, 4)])
+def test_relu_out_matches_oracle(shape, into):
+    # out=a.data overwrites the input and must still give a * (a > 0) bit for
+    # bit, -0.0 and +0.0 inputs included, and the same gradients; without out,
+    # or with a separate buffer, the input is left as it was
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    x.flat[0], x.flat[1] = -0.0, 0.0
+    a = Tensor(x.copy(), requires_grad=True)
+    b = Tensor(x.copy(), requires_grad=True)
+    out = {"input": a.data, "buffer": np.full(shape, np.nan), None: None}[into]
+    got, want = nm.relu(a, out=out), nm.mul(b, Tensor(x > 0))
+    assert out is None or got.data is out
+    assert got.data.tobytes() == want.data.tobytes() == (x * (x > 0)).tobytes()
+    if into != "input":
+        assert a.data.tobytes() == x.tobytes()
+    g = rng.normal(size=shape)
+    g.flat[0] = -1.0  # the masked -0.0 input gets a -0.0 gradient
+    nm.reduce_sum(nm.mul(got, Tensor(g))).backward()
+    nm.reduce_sum(nm.mul(want, Tensor(g))).backward()
+    assert a.grad.tobytes() == b.grad.tobytes()
+    if into is None:
+        assert a.data.tobytes() == x.tobytes()
 
 
 def test_l2_normalize_unit_norm():
@@ -232,6 +259,131 @@ def test_fanout_matches_finite_differences():
         return nm.reduce_sum(nm.add(nm.add(a, b), c))
 
     assert grad_check(shared_input_expr, Tensor(x), eps=1e-5) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# backward consumes the graph and keeps every gradient bit
+
+
+def graph_nodes(root: Tensor) -> list[Tensor]:
+    """Every node reachable from `root`."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def graph_keeping_backward(root: Tensor) -> None:
+    """`Tensor.backward` leaving every node's parents and VJP in place (oracle)."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        if node._vjp is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(g)):
+            if pg is None:
+                continue
+            key = id(parent)
+            grads[key] = pg if key not in grads else grads[key] + pg
+
+
+@functools.lru_cache(maxsize=1)
+def _two_country_splits():
+    from protobank.declarations import SplitSpec, generate_world, mask_labels, split
+    from protobank.evaluation import two_country_world_config
+
+    world = generate_world(two_country_world_config())
+    src, tgt = split(world["SRC"], SplitSpec()), split(world["TGT"], SplitSpec())
+    tgt["train"] = mask_labels(tgt["train"], 0.1, 0)
+    return src, tgt
+
+
+def training_batch_loss(kind: str, monkeypatch):
+    """(tensors, batch_loss, y) that a 1-epoch training stage hands to `fit`.
+
+    `pretrain` gives the SCL + BCE loss, `memory` a memory fine-tune's BCE and
+    `akc` the adaptive-transfer loss with its consistency term; no step runs.
+    """
+    import importlib
+
+    from protobank import adapt
+    from protobank.bank import assemble
+    from protobank.container import PrototypeSet
+    from protobank.encoder import EncoderParams, embed_matrix
+
+    pretrain = importlib.import_module("protobank.pretrain")  # the package exports the function
+    got = {}
+
+    def capture(model, tensors, score, valid, y, batch_loss, cfg, rng):
+        got.update(tensors=tensors, batch_loss=batch_loss, y=y)
+        return model, []
+
+    monkeypatch.setattr(pretrain, "fit", capture)
+    monkeypatch.setattr(adapt, "fit", capture)
+    src, tgt = _two_country_splits()
+    if kind == "pretrain":
+        pretrain.pretrain(src["train"], src["valid"], pretrain.PretrainConfig(epochs=1))
+        return got["tensors"], got["batch_loss"], got["y"]
+    enc = EncoderParams.from_split(np.random.default_rng(1), src["train"])
+    ft = adapt.FinetuneConfig(epochs=1, init_from_source=True, use_memory=True)
+    if kind == "memory":
+        h = embed_matrix(enc, src["train"].labeled()[:200])
+        bank = assemble([PrototypeSet("SRC", enc.config.d, h[:40], h[40:])])
+        adapt.finetune(tgt["train"], tgt["valid"], bank, enc, ft)
+    else:
+        adapt.akc_finetune(tgt["train"], tgt["valid"], enc, ft)
+    return got["tensors"], got["batch_loss"], got["y"]
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "memory", "akc"])
+def test_consuming_backward_matches_graph_keeping_oracle(kind, monkeypatch):
+    tensors, batch_loss, y = training_batch_loss(kind, monkeypatch)
+    idx = np.random.default_rng(2).permutation(len(y))[:128]
+    assert len(np.unique(y[idx])) == 2
+    runs = []
+    for backward in (Tensor.backward, graph_keeping_backward):
+        nm.zero_grads(tensors)
+        loss, _ = batch_loss(idx)
+        backward(loss)
+        runs.append({k: t.grad.tobytes() for k, t in tensors.items() if t.grad is not None})
+    assert "conv_kernels" in runs[0] and runs[0] == runs[1]
+    if kind == "memory":
+        assert "gate_w1" in runs[0]
+
+
+@pytest.mark.parametrize("kind", ["pretrain", "memory", "akc"])
+def test_backward_consumes_the_graph(kind, monkeypatch):
+    tensors, batch_loss, y = training_batch_loss(kind, monkeypatch)
+    loss, _ = batch_loss(np.arange(min(64, len(y))))
+    nodes = graph_nodes(loss)
+    assert len(nodes) > len(tensors)
+    loss.backward()
+    assert all(node._parents == () and node._vjp is None for node in nodes)
+    # a second pass reaches no parameter
+    nm.zero_grads(tensors)
+    loss.backward()
+    assert all(t.grad is None for t in tensors.values())
 
 
 def test_backward_requires_scalar():

@@ -1,4 +1,4 @@
-"""Time the data path layer by layer at large row counts and print one JSON object.
+"""Time the data path at large row counts and the training path, stage by stage; print one JSON object.
 
     python tools/layerbench.py --rows 200000 1000000
     python tools/layerbench.py --tree ../other-checkout --rows 200000
@@ -14,11 +14,18 @@ CSV under a temporary directory and measures, in this order:
 - `encoder.score_records` over every record, with an untrained encoder
   fitted to the train split (scoring costs the same trained or not).
 
-Each stage runs twice on the same input: once plain for its wall seconds,
-once under tracemalloc for its peak of traced memory above what was held
-before it. `--tree` names the checkout whose `src/` is imported (default:
-this one), so the same script measures two trees. BLAS runs on one thread.
-`peak_rss_mib` is the process's peak resident set over every row count.
+Then, under `pretrain`, it measures the source pretrain of perfbench's
+`transfer` operation: `PretrainConfig(seed=SEED)` (10 epochs, batches of 128)
+on the SRC split of `two_country_world_config()`.
+
+Each stage runs twice on the same input: once plain for its wall seconds
+(`s`), the minor page faults it took (`minflt`) and its system seconds
+(`sys_s`), both from getrusage, then under tracemalloc for its peak of traced
+memory above what was held before it (`peak_mib`). Faults show allocator
+churn: memory the C allocator gave back to the system and touched again.
+`--tree` names the checkout whose `src/` is imported (default: this one), so
+the same script measures two trees. BLAS runs on one thread. `peak_rss_mib`
+is the process's peak resident set over every stage.
 """
 
 from __future__ import annotations
@@ -44,11 +51,14 @@ SEED = 3  # seeds the world, the mask and the encoder
 
 
 def measure(fn) -> tuple[object, dict]:
-    """`fn()` and its wall seconds and tracemalloc peak (MiB), from two calls."""
+    """`fn()` and its wall seconds, minor faults, system seconds and tracemalloc
+    peak (MiB), from two calls."""
     gc.collect()
+    r0 = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
     fn()
     seconds = time.perf_counter() - t0
+    r1 = resource.getrusage(resource.RUSAGE_SELF)
     gc.collect()
     tracemalloc.start()
     try:
@@ -57,7 +67,8 @@ def measure(fn) -> tuple[object, dict]:
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return out, {"s": round(seconds, 4), "peak_mib": round(peak / 2**20, 2)}
+    return out, {"s": round(seconds, 4), "minflt": r1.ru_minflt - r0.ru_minflt,
+                 "sys_s": round(r1.ru_stime - r0.ru_stime, 3), "peak_mib": round(peak / 2**20, 2)}
 
 
 def run(rows: int, tmp: Path) -> dict:
@@ -91,6 +102,15 @@ def run(rows: int, tmp: Path) -> dict:
     return stages
 
 
+def run_pretrain() -> dict:
+    from protobank.declarations import SplitSpec, generate_world, split
+    from protobank.evaluation import two_country_world_config
+    from protobank.pretrain import PretrainConfig, pretrain
+
+    src = split(generate_world(two_country_world_config())["SRC"], SplitSpec())
+    return measure(lambda: pretrain(src["train"], src["valid"], PretrainConfig(seed=SEED)))[1]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
@@ -113,6 +133,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for rows in args.rows:
             result["rows"][str(rows)] = run(rows, Path(tmp))
+    result["pretrain"] = run_pretrain()
     result["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(result))
     return 0
