@@ -15,7 +15,6 @@ from .container import MemoryBank, PrototypeSet, deserialize, serialize
 from .declarations import (
     CountryDataset,
     CountrySpec,
-    ImportDeclaration,
     Records,
     SplitSpec,
     SyntheticWorldConfig,
@@ -48,7 +47,6 @@ __all__ = [
     "EncoderConfig",
     "EncoderParams",
     "FinetuneConfig",
-    "ImportDeclaration",
     "MemoryBank",
     "PretrainConfig",
     "PrototypeSet",

@@ -4,8 +4,7 @@ A CountryDataset holds one country's declarations as numpy columns, sorted
 chronologically, plus the sealed records behind them: the same columns with
 their labels unmasked. Training code only ever sees the visible labels;
 evaluation reads the sealed ones, so masking labels can never leak into
-scoring. `ImportDeclaration` is one row at the edge: what a CSV row, a test
-or an iteration over `Records` sees.
+scoring.
 
 The synthetic world generator stands in for real customs data: frauds are
 injected as (HS6 bucket x origin) pattern conjunctions with an
@@ -19,12 +18,11 @@ import csv
 import functools
 import math
 import re
-from collections import Counter
-from dataclasses import dataclass, fields, replace
+from collections import Counter, namedtuple
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from itertools import islice, repeat
-from numbers import Real
-from operator import eq, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,6 +43,9 @@ CSV_COLUMNS = (
     "illicit",
     "revenue",
 )
+# One declaration as iterating Records gives it: plain values in CSV_COLUMNS
+# order, with illicit and revenue None on an uninspected row.
+Row = namedtuple("Row", CSV_COLUMNS)
 
 
 # The largest cif_value / gross_weight, the price_per_kg feature. A square of
@@ -53,63 +54,9 @@ CSV_COLUMNS = (
 _MAX_PRICE_PER_KG = 1e100
 
 
-@dataclass(frozen=True, slots=True)
-class ImportDeclaration:
-    """One trade record, checked when constructed; `illicit`/`revenue` are None when uninspected."""
-
-    id: int
-    date: Date
-    quantity: float
-    gross_weight: float
-    hs6: str
-    country_code: str
-    cif_value: float
-    total_taxes: float
-    illicit: bool | None = None
-    revenue: float | None = None
-
-    def __post_init__(self) -> None:
-        for name, (kinds, kind) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not isinstance(value, kinds):
-                raise SchemaError(f"record {self.id}: {name} must be {kind}, got {value!r}")
-        if not _INT64.min <= self.id <= _INT64.max:
-            raise SchemaError(f"record {self.id}: id does not fit in 64 bits")
-        _check(Records.of([self]))
-        if (self.illicit is None) != (self.revenue is None):
-            raise SchemaError(f"record {self.id}: illicit and revenue must be set together")
-
-
-# field -> (the types it may hold, as a message names them); checked before
-# the row's columns are built, which would convert a str or overflow an id
-_FIELD_TYPES = {
-    "id": ((int, np.integer), "an integer"),
-    "date": (Date, "a date"),
-    "quantity": (Real, "a number"),
-    "gross_weight": (Real, "a number"),
-    "hs6": (str, "a str"),
-    "country_code": (str, "a str"),
-    "cif_value": (Real, "a number"),
-    "total_taxes": (Real, "a number"),
-    "illicit": ((bool, np.bool_, type(None)), "a bool or None"),
-    "revenue": ((Real, type(None)), "a number or None"),
-}
-_INT64 = np.iinfo(np.int64)
-_SETTERS = tuple(vars(ImportDeclaration)[f.name].__set__ for f in fields(ImportDeclaration))
-
-
-def _declaration(*values) -> ImportDeclaration:
-    """A declaration of column values that were checked already, built without the checks."""
-    rec = object.__new__(ImportDeclaration)
-    for set_field, value in zip(_SETTERS, values):
-        set_field(rec, value)
-    return rec
-
-
-# Column -> dtype, in ImportDeclaration's field order. `hs6` and
-# `country_code` are codes into the Records' string pools; `days` are
-# date.toordinal(); `illicit` is -1 where uninspected, and `revenue` is 0
-# there.
+# Column -> dtype, in CSV_COLUMNS order. `hs6` and `country_code` are codes
+# into the Records' string pools; `days` are date.toordinal(); `illicit` is -1
+# where uninspected, and `revenue` is 0 there.
 _COLUMNS = {
     "ids": np.int64,
     "days": np.int32,
@@ -122,8 +69,7 @@ _COLUMNS = {
     "illicit": np.int8,
     "revenue": np.float64,
 }
-_FLOAT_COLUMNS = ("quantity", "gross_weight", "cif_value", "total_taxes")
-_BLOCK_ROWS = 1024  # rows parsed or built into declarations per pass
+_BLOCK_ROWS = 1024  # rows parsed, written or iterated per pass
 
 
 def map_column(fn, column: np.ndarray) -> np.ndarray:
@@ -139,10 +85,9 @@ def map_column(fn, column: np.ndarray) -> np.ndarray:
 class Records:
     """Read-only columns of declarations, in dataset order.
 
-    `len`, iteration and integer indexing give `ImportDeclaration`s with plain
-    Python values, built on demand; a slice, boolean mask or index array
-    selects rows as Records (a slice shares the columns); `+` concatenates.
-    The pools may hold values that no selected row uses.
+    A slice, boolean mask or index array selects rows as Records (a slice
+    shares the columns); `+` concatenates; iteration gives `Row`s, built on
+    demand. The pools may hold values that no selected row uses.
     """
 
     __slots__ = (*_COLUMNS, "hs6_pool", "country_pool")
@@ -154,60 +99,47 @@ class Records:
             setattr(self, name, column)
         self.hs6_pool, self.country_pool = hs6_pool, country_pool
 
-    @staticmethod
-    def of(declarations) -> "Records":
-        """The columns of checked declarations, in their order."""
-        recs = list(declarations)
-        hs6, countries = {}, {}
-        columns = {
-            "ids": [r.id for r in recs],
-            "days": [r.date.toordinal() for r in recs],
-            **{name: [getattr(r, name) for r in recs] for name in _FLOAT_COLUMNS},
-            "hs6": [hs6.setdefault(r.hs6, len(hs6)) for r in recs],
-            "country_code": [countries.setdefault(r.country_code, len(countries)) for r in recs],
-            "illicit": [-1 if r.illicit is None else r.illicit for r in recs],
-            "revenue": [r.revenue or 0.0 for r in recs],
-        }
-        return Records(columns, tuple(hs6), tuple(countries))
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            i = range(len(self))[key]
-            return next(iter(self[i : i + 1]))
+            raise TypeError("Records select rows by slice, mask or index array")
         columns = {name: getattr(self, name)[key] for name in _COLUMNS}
         return Records(columns, self.hs6_pool, self.country_pool)
 
     def __iter__(self):
-        dates: dict[int, Date] = {}  # one object per day
         hs6, countries = self.hs6_pool, self.country_pool
         for lo in range(0, len(self), _BLOCK_ROWS):
             block = [getattr(self, name)[lo : lo + _BLOCK_ROWS].tolist() for name in _COLUMNS]
             for rid, day, q, w, h, c, v, t, label, revenue in zip(*block):
-                date = dates.get(day) or dates.setdefault(day, Date.fromordinal(day))
                 labels = (None, None) if label < 0 else (label == 1, revenue)
-                yield _declaration(rid, date, q, w, hs6[h], countries[c], v, t, *labels)
+                yield Row(rid, Date.fromordinal(day), q, w, hs6[h], countries[c], v, t, *labels)
 
-    def __add__(self, other: "Records") -> "Records":
-        if not isinstance(other, Records):
-            return NotImplemented
+    def _aligned(self, other: "Records") -> tuple[dict, tuple, tuple]:
+        """`other`'s columns with their codes recoded into pools that extend
+        these Records' pools, and those two pools."""
         tail = {name: getattr(other, name) for name in _COLUMNS}
         hs6_pool, tail["hs6"] = _merge(self.hs6_pool, other.hs6_pool, other.hs6)
         country_pool, tail["country_code"] = _merge(
             self.country_pool, other.country_pool, other.country_code
         )
-        columns = {name: np.concatenate((getattr(self, name), tail[name])) for name in _COLUMNS}
-        return Records(columns, hs6_pool, country_pool)
+        return tail, hs6_pool, country_pool
 
-    def __eq__(self, other) -> bool:
-        """Equal when both hold the same declarations in the same order."""
+    def __add__(self, other: "Records") -> "Records":
         if not isinstance(other, Records):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+        tail, *pools = self._aligned(other)
+        columns = {name: np.concatenate((getattr(self, name), tail[name])) for name in _COLUMNS}
+        return Records(columns, *pools)
 
-    __hash__ = None
+    def __eq__(self, other) -> bool:
+        """Equal when every column holds the same values in the same order,
+        `hs6` and `country_code` compared as their pooled strings."""
+        if not isinstance(other, Records):
+            return NotImplemented
+        tail = self._aligned(other)[0]
+        return all(np.array_equal(getattr(self, name), tail[name]) for name in _COLUMNS)
 
     def relabeled(self, illicit: np.ndarray) -> "Records":
         """These rows with visible labels `illicit` (-1 hides one, and its
@@ -300,10 +232,9 @@ class CountryDataset:
     sealed: Records
 
     @staticmethod
-    def build(country_id: str, records) -> "CountryDataset":
-        """A dataset of checked declarations (or Records) in any order, sorted
-        by (date, id); SchemaError naming the first id that repeats."""
-        recs = records if isinstance(records, Records) else Records.of(records)
+    def build(country_id: str, recs: Records) -> "CountryDataset":
+        """A dataset of checked Records in any order, sorted by (date, id);
+        SchemaError naming the first id that repeats."""
         ids = recs.ids
         by_id = np.argsort(ids, kind="stable")
         repeats = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]

@@ -3,8 +3,9 @@
 It reads rows with `csv.DictReader`, parses each into a tuple of field
 values and checks it with the record rules one row at a time, raising the
 same SchemaError messages. It returns the rows sorted by (date, id), each as
-a tuple in `ImportDeclaration`'s field order. Long rows and repeated header
-columns are not errors here: `load_csv` rejects them on purpose.
+a tuple in `CSV_COLUMNS` order, as iterating Records gives `Row`s. Long rows
+and repeated header columns are not errors here: `load_csv` rejects them on
+purpose.
 """
 
 from __future__ import annotations

@@ -31,8 +31,7 @@ from protobank.cli import main as cli_main
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.declarations import (
     CountryDataset,
-    ImportDeclaration,
-    Records,
+    Row,
     SplitSpec,
     generate_world,
     mask_labels,
@@ -58,6 +57,7 @@ from protobank.evaluation import (
 from protobank.numerics import Tensor
 from protobank.pretrain import PretrainConfig, pretrain, scl_loss, select_fraud_like
 from tests.gradcheck import grad_check
+from tests.records_edge import records_of
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -104,7 +104,7 @@ def _random_records(rng, n):
     for i in range(n):
         illicit = bool(rng.random() < 0.5)
         records.append(
-            ImportDeclaration(
+            Row(
                 id=i,
                 date=date(2024, 1, 1) + timedelta(days=i),
                 quantity=float(rng.uniform(1, 50)),
@@ -140,7 +140,7 @@ def test_criterion_01_gradient_correctness():
         n = int(rng.integers(3, 6))
         params = _random_adapt(rng, k, d, kernels=2)
         records = _random_records(rng, n)
-        feats, hi, ci = batch_inputs(params.encoder, Records.of(records))
+        feats, hi, ci = batch_inputs(params.encoder, records_of(records))
         y = Tensor(np.array([[1.0 if r.illicit else 0.0] for r in records]))
         bank_rows = params.bank_matrix = rng.normal(size=(int(rng.integers(2, 5)), d))
 
@@ -333,14 +333,14 @@ def test_criterion_05_metric_oracle():
 
     def dataset(revenues):
         records = [
-            ImportDeclaration(
+            Row(
                 id=i, date=date(2024, 1, 1) + timedelta(days=i), quantity=1.0,
                 gross_weight=1.0, hs6="100001", country_code="US", cif_value=1.0,
                 total_taxes=0.0, illicit=rev > 0, revenue=float(rev),
             )
             for i, rev in enumerate(revenues)
         ]
-        return CountryDataset.build("M", records)
+        return CountryDataset.build("M", records_of(records))
 
     exhaustive_ok = True
     for revs, n in (([4.0, 0.0, 9.0, 1.0, 0.0], 5), ([2.0, 0.0, 5.0, 1.0, 0.0, 3.0, 0.0, 8.0], 8)):

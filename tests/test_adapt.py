@@ -22,13 +22,14 @@ from protobank.adapt import (
 )
 from protobank.bank import assemble
 from protobank.container import PrototypeSet
-from protobank.declarations import Records, SplitSpec, split
+from protobank.declarations import SplitSpec, split
 from protobank.encoder import EncoderConfig, EncoderParams, batch_inputs, save_encoder
 from protobank.errors import DataError, NumericError, ShapeError
 from protobank.numerics import Tensor
 from tests.gradcheck import grad_check
 from tests.test_declarations import make_dataset
 from tests.test_encoder import small_params, world_params, world_records
+from tests.records_edge import records_of
 from tests.test_pretrain import nan_after, separable_dataset
 
 SMALL_FT = FinetuneConfig(
@@ -438,7 +439,7 @@ class TestAkc:
         from protobank.adapt import consistency_subset
         from tests.test_declarations import make_record
 
-        labeled = Records.of(
+        labeled = records_of(
             make_record(i, day=i, illicit=i % 2 == 0, revenue=1.0 if i % 2 == 0 else 0.0)
             for i in range(10)
         )

@@ -308,7 +308,7 @@ class TestExtractPrototypes:
         proto_a = extract_prototypes(self.params, self.train, per_class=7, seed=3)
         from protobank.declarations import CountryDataset
 
-        shuffled = CountryDataset.build(self.train.country_id, list(reversed(self.train.records)))
+        shuffled = CountryDataset.build(self.train.country_id, self.train.records[::-1])
         proto_b = extract_prototypes(self.params, shuffled, per_class=7, seed=3)
         assert np.array_equal(proto_a.fraud_prototypes, proto_b.fraud_prototypes)
         assert np.array_equal(proto_a.nonfraud_prototypes, proto_b.nonfraud_prototypes)

@@ -1,7 +1,7 @@
 import os
 import tempfile
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protobank import declarations
 from protobank.declarations import (
     CSV_COLUMNS,
     CountryDataset,
     CountrySpec,
-    ImportDeclaration,
+    Row,
     SplitSpec,
     SyntheticWorldConfig,
     generate_world,
@@ -24,13 +25,14 @@ from protobank.declarations import (
 )
 from protobank.errors import DataError, SchemaError
 from tests import csv_oracle
+from tests.records_edge import records_of
 
 
 _CSV_HEADER = b"id,date,quantity,gross_weight,hs6,country_code,cif_value,total_taxes,illicit,revenue\n"
 
 
 def make_record(i, day=0, illicit=False, revenue=0.0, hs6="100001", cc="US"):
-    return ImportDeclaration(
+    return Row(
         id=i,
         date=date(2024, 1, 1) + timedelta(days=day),
         quantity=10.0 + i,
@@ -49,31 +51,39 @@ def make_dataset(n=10, n_days=10, fraud_every=3):
         make_record(i, day=i % n_days, illicit=(i % fraud_every == 0), revenue=5.0 if i % fraud_every == 0 else 0.0)
         for i in range(n)
     ]
-    return CountryDataset.build("XX", records)
+    return CountryDataset.build("XX", records_of(records))
+
+
+def _count_record_checks(monkeypatch) -> list:
+    """A list that gains the row count of each Records the record rules run on."""
+    calls = []
+    faults = declarations._record_faults
+
+    def counted(records):
+        calls.append(len(records))
+        return faults(records)
+
+    monkeypatch.setattr(declarations, "_record_faults", counted)
+    return calls
 
 
 class TestImportDeclaration:
+    """The record rules, run on rows built by tests/records_edge.py."""
+
     def test_bad_hs6_rejected(self):
         with pytest.raises(SchemaError):
-            make_record(0, hs6="12AB56")
+            records_of([make_record(0, hs6="12AB56")])
 
     def test_revenue_on_nonfraud_rejected(self):
         with pytest.raises(SchemaError):
-            make_record(0, illicit=False, revenue=5.0)
-
-    def test_revenue_without_label_rejected(self):
-        with pytest.raises(SchemaError):
-            ImportDeclaration(
-                id=0, date=date(2024, 1, 1), quantity=1.0, gross_weight=1.0, hs6="100001",
-                country_code="US", cif_value=1.0, total_taxes=0.0, illicit=None, revenue=3.0,
-            )
+            records_of([make_record(0, illicit=False, revenue=5.0)])
 
     def test_nonpositive_quantity_rejected(self):
         with pytest.raises(SchemaError):
-            ImportDeclaration(
+            records_of([Row(
                 id=0, date=date(2024, 1, 1), quantity=0.0, gross_weight=1.0, hs6="100001",
-                country_code="US", cif_value=1.0, total_taxes=0.0,
-            )
+                country_code="US", cif_value=1.0, total_taxes=0.0, illicit=None, revenue=None,
+            )])
 
     @pytest.mark.parametrize(
         "cif, weight",
@@ -81,63 +91,41 @@ class TestImportDeclaration:
     )
     def test_price_per_kg_over_bound_rejected(self, cif, weight):
         with pytest.raises(SchemaError, match="record 7: price_per_kg"):
-            replace(make_record(7), cif_value=cif, gross_weight=weight)
+            records_of([make_record(7)._replace(cif_value=cif, gross_weight=weight)])
 
     def test_price_per_kg_at_bound_accepted(self):
-        rec = replace(make_record(0), cif_value=1e100, gross_weight=1.0)
-        assert rec.cif_value / rec.gross_weight == 1e100
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ({"quantity": "5"}, "quantity must be a number, got '5'"),
-            ({"total_taxes": None}, "total_taxes must be a number, got None"),
-            ({"date": "2024-01-01"}, "date must be a date"),
-            ({"hs6": 100001}, "hs6 must be a str"),
-            ({"id": "3"}, "id must be an integer"),
-            ({"illicit": 1}, "illicit must be a bool or None"),
-            ({"revenue": "0"}, "revenue must be a number or None"),
-        ],
-    )
-    def test_field_of_the_wrong_type_rejected(self, change, message):
-        with pytest.raises(SchemaError, match=message):
-            replace(make_record(3), **change)
-
-    @pytest.mark.parametrize("rid", [2**63, -(2**63) - 1, 10**20])
-    def test_id_beyond_int64_rejected(self, rid):
-        with pytest.raises(SchemaError, match=f"record {rid}: id does not fit in 64 bits"):
-            replace(make_record(0), id=rid)
+        rec = records_of([make_record(0)._replace(cif_value=1e100, gross_weight=1.0)])
+        assert rec.cif_value[0] / rec.gross_weight[0] == 1e100
 
     def test_int64_bounds_and_numpy_scalars_accepted(self):
         for rid in (2**63 - 1, -(2**63), np.int64(5)):
-            assert replace(make_record(0), id=rid).id == rid
-        rec = replace(make_record(0), quantity=np.float32(2.0), total_taxes=0, illicit=np.True_)
-        assert rec.quantity == 2.0
+            assert records_of([make_record(0)._replace(id=rid)]).ids[0] == rid
+        change = {"quantity": np.float32(2.0), "total_taxes": 0, "illicit": np.True_}
+        rec = records_of([make_record(0)._replace(**change)])
+        assert rec.quantity[0] == 2.0
 
 
 class TestDatasetBuild:
     def test_sorted_by_date_then_id(self):
         records = [make_record(2, day=5), make_record(0, day=1), make_record(1, day=1, hs6="200002")]
-        ds = CountryDataset.build("XX", records)
+        ds = CountryDataset.build("XX", records_of(records))
         assert [r.id for r in ds.records] == [0, 1, 2]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SchemaError):
-            CountryDataset.build("XX", [make_record(1), make_record(1, day=3)])
+            CountryDataset.build("XX", records_of([make_record(1), make_record(1, day=3)]))
 
     def test_split_runs_no_record_checks(self, monkeypatch):
         ds = make_dataset(60, n_days=60)
-        calls = []
-        check = ImportDeclaration.__post_init__
-
-        def counted(rec):
-            calls.append(rec.id)
-            check(rec)
-
-        monkeypatch.setattr(ImportDeclaration, "__post_init__", counted)
+        calls = _count_record_checks(monkeypatch)
         parts = split(ds, SplitSpec(test_window_days=10, valid_window_days=10))
+        train = parts["train"]
+        train.subset(train.records.ids % 2 == 0).subset(slice(1, None))
+        mask_labels(train, 0.5, 0)
         assert sum(len(p) for p in parts.values()) == len(ds)
         assert calls == []
+        make_dataset(3)  # the count sees the rules when they do run
+        assert calls == [3]
 
 
 class TestCsv:
@@ -160,7 +148,9 @@ class TestCsv:
         ds = load_csv(path, country_id="T")
         assert len(ds) == 3
         assert [r.id for r in ds.records] == [0, 1, 2]
-        assert ds.records[1].illicit is None
+        assert list(ds.records)[1].illicit is None
+        with pytest.raises(TypeError):
+            ds.records[1]  # Records are read by column, not by row index
 
     def test_bad_hs6_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -228,6 +218,28 @@ class TestCsv:
             except DataError:  # SchemaError included
                 return
             assert isinstance(ds, CountryDataset)
+
+
+_CODES = [("100001", "US"), ("200002", "DE"), ("100001", "CN"), ("300003", "US")]
+_ROWS = [make_record(i, day=i, illicit=i == 2, revenue=4.0 * (i == 2), hs6=h, cc=c)
+         for i, (h, c) in enumerate(_CODES)]
+
+
+@pytest.mark.parametrize(
+    "other, equal",
+    [
+        (lambda rows: records_of(rows), True),
+        (lambda rows: records_of(rows[::-1])[::-1], True),  # pools in another order
+        (lambda rows: records_of(rows[:3]), False),
+        (lambda rows: records_of([*rows[:3], rows[3]._replace(hs6="300004")]), False),
+        (lambda rows: records_of([rows[0]._replace(illicit=None), *rows[1:]]), False),
+    ],
+    ids=["same", "reordered-pools", "shorter", "one-hs6", "hidden-label"],
+)
+def test_records_compare_by_value(other, equal):
+    records = records_of(_ROWS)
+    assert (records == other(_ROWS)) is equal
+    assert (other(_ROWS) == records) is equal
 
 
 _HS6S = ("100001", "200002", "345678", "999999")
@@ -300,10 +312,6 @@ def _csv_bytes(rows) -> bytes:
     return _CSV_HEADER + b"".join(lines)
 
 
-def _field_tuples(ds):
-    return [tuple(getattr(r, f.name) for f in fields(ImportDeclaration)) for r in ds.records]
-
-
 def _outcome(load, path):
     try:
         return load(path), None
@@ -322,7 +330,7 @@ class TestCsvOracle:
             with open(path, "wb") as fh:
                 fh.write(_csv_bytes(rows))
             want = csv_oracle.load_rows(path)
-            got = _field_tuples(load_csv(path))
+            got = list(load_csv(path).records)
         assert got == want
         for a, b in zip(got, want):
             assert [type(v) for v in a] == [type(v) for v in b]
@@ -373,7 +381,7 @@ class TestCsvOracle:
         body[1] = body[1][:10]
         path = tmp_path / "t.csv"
         path.write_bytes(header + _csv_bytes(body)[len(_CSV_HEADER):])
-        assert _field_tuples(load_csv(path)) == csv_oracle.load_rows(path)
+        assert list(load_csv(path).records) == csv_oracle.load_rows(path)
         _same_error_as_oracle(header + _csv_bytes(_spoil(body, 2, ("hs6", "12AB56"), None))[len(_CSV_HEADER):])
 
     def test_id_beyond_int64_is_malformed(self, tmp_path):
@@ -450,13 +458,13 @@ class TestCsvStrictness:
 class TestSplit:
     def _spread(self, n_days):
         return CountryDataset.build(
-            "XX", [make_record(i, day=i % n_days) for i in range(n_days * 3)]
+            "XX", records_of(make_record(i, day=i % n_days) for i in range(n_days * 3))
         )
 
     def test_window_arithmetic(self):
         ds = self._spread(100)
         parts = split(ds, SplitSpec(30, 14))
-        last = ds.records[-1].date
+        last = list(ds.records)[-1].date
         test_start = last - timedelta(days=29)
         valid_start = test_start - timedelta(days=14)
         assert all(r.date >= test_start for r in parts["test"].records)
@@ -564,24 +572,18 @@ class TestMaskLabels:
 
     def test_hidden_twins_match_replace_without_record_checks(self, monkeypatch):
         ds = make_dataset(60, n_days=20, fraud_every=4)
-        checks = []
-        check = ImportDeclaration.__post_init__
-
-        def counted(rec):
-            checks.append(rec.id)
-            check(rec)
-
-        monkeypatch.setattr(ImportDeclaration, "__post_init__", counted)
+        calls = _count_record_checks(monkeypatch)
         masked = mask_labels(ds, 0.2, 3)
-        assert checks == []  # the records were checked when they were built
-        hidden = [(a, b) for a, b in zip(ds.records, masked.records) if b.illicit is None]
-        assert len(hidden) == 60 - 12
-        for before, twin in hidden:
-            expected = replace(before, illicit=None, revenue=None)
-            assert twin == expected and hash(twin) == hash(expected)
-            for f in fields(ImportDeclaration):  # every slot set, to an equal value of one type
-                value, want = getattr(twin, f.name), getattr(expected, f.name)
-                assert value == want and type(value) is type(want), f.name
+        assert calls == []  # the records were checked when they were built
+        before, twins = ds.records, masked.records
+        hidden = twins.illicit == -1
+        assert hidden.sum() == 60 - 12
+        assert not twins.revenue[hidden].any()
+        assert np.array_equal(twins.illicit[~hidden], before.illicit[~hidden])
+        assert np.array_equal(twins.revenue[~hidden], before.revenue[~hidden])
+        for name in ("ids", "days", "quantity", "gross_weight", "hs6", "country_code",
+                     "cif_value", "total_taxes", "hs6_pool", "country_pool"):
+            assert getattr(twins, name) is getattr(before, name), name
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(st.floats(0.05, 1.0), st.integers(0, 2**31 - 1))
@@ -675,11 +677,6 @@ def _traced_peak(make) -> int:
             tracemalloc.stop()
 
 
-def _one_object_per_value(values) -> bool:
-    first = {}
-    return all(first.setdefault(v, v) is v for v in values)
-
-
 class TestRecordMemory:
     # perfbench's score_bulk CSV: 20000 rows over 180 days
     CONFIG = SyntheticWorldConfig(
@@ -722,25 +719,11 @@ class TestRecordMemory:
         assert hidden == len(ds) - 200
         assert held / hidden < 12
 
-    def test_records_share_values_and_keep_dataclass_behaviour(self, generated_and_loaded):
+    def test_loaded_records_equal_generated(self, generated_and_loaded):
         generated, path = generated_and_loaded
-        loaded = load_csv(path)
-        assert loaded.records == generated.records
-        for records in (generated.records, loaded.records):
-            for name in ("date", "hs6", "country_code"):
-                assert _one_object_per_value(getattr(r, name) for r in records), name
-            assert not any(hasattr(r, "__dict__") for r in records)
-        for a, b in zip(generated.records, loaded.records):
-            for f in fields(ImportDeclaration):
-                assert type(getattr(a, f.name)) is type(getattr(b, f.name)), f.name
-        r = loaded.records[0]
-        copy = replace(r)
-        assert copy == r and hash(copy) == hash(r) and copy is not r
-        assert replace(r, id=-1) != r
-        with pytest.raises(SchemaError):
-            replace(r, hs6="12AB56")
-        with pytest.raises(FrozenInstanceError):
-            r.hs6 = "100001"
+        loaded = load_csv(path).records
+        assert loaded.hs6_pool != generated.records.hs6_pool  # first use, not generation order
+        assert loaded == generated.records
 
 
 class TestGenerateWorld:
@@ -817,7 +800,7 @@ class TestGenerateWorld:
             n_shared_patterns=0,
         )
         world = generate_world(cfg)
-        assert world["AA"].records[0].date >= date(1, 1, 1)
+        assert next(iter(world["AA"].records)).date >= date(1, 1, 1)
         assert len(world["BB"].records) == 1000
 
     @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -10,7 +9,6 @@ from protobank import numerics as nm
 from protobank.declarations import (
     CountryDataset,
     CountrySpec,
-    Records,
     SplitSpec,
     SyntheticWorldConfig,
     generate_world,
@@ -33,6 +31,7 @@ from protobank.encoder import (
 from protobank.errors import DataError
 from protobank.numerics import Tensor
 from tests.gradcheck import grad_check
+from tests.records_edge import records_of
 from tests.test_declarations import make_dataset, make_record
 from tests.test_numerics import single_pass_softmax
 
@@ -68,10 +67,9 @@ class TestStats:
     def test_price_per_kg_at_bound_stays_finite(self):
         # the largest finite cif_value, at the largest price_per_kg a record may have
         at_bound = [
-            dataclasses.replace(make_record(i), cif_value=1.7e308, gross_weight=1.7e208)
-            for i in range(3)
+            make_record(i)._replace(cif_value=1.7e308, gross_weight=1.7e208) for i in range(3)
         ]
-        ds = CountryDataset.build("XX", at_bound + [make_record(i) for i in range(3, 6)])
+        ds = CountryDataset.build("XX", records_of(at_bound + [make_record(i) for i in range(3, 6)]))
         stats = standardize_stats(ds)
         assert np.all(np.isfinite(stats.mean)) and np.all(np.isfinite(stats.std))
         params = EncoderParams.from_split(np.random.default_rng(0), ds, SMALL)
@@ -81,7 +79,7 @@ class TestStats:
         from protobank.declarations import CountryDataset
 
         with pytest.raises(DataError):
-            standardize_stats(CountryDataset.build("XX", []))
+            standardize_stats(CountryDataset.build("XX", records_of([])))
 
 
 class TestEmbed:
@@ -126,10 +124,10 @@ class TestEmbed:
     def test_unknown_categories_use_reserved_row(self):
         params = small_params()
         rec = make_record(0, hs6="999999", cc="ZZ")
-        feats, hs6_idx, cty_idx = batch_inputs(params, Records.of([rec]))
+        feats, hs6_idx, cty_idx = batch_inputs(params, records_of([rec]))
         assert hs6_idx[0] == len(params.hs6_vocab)
         assert cty_idx[0] == len(params.country_vocab)
-        h = embed_matrix(params, Records.of([rec]))  # must not raise
+        h = embed_matrix(params, records_of([rec]))  # must not raise
         assert np.all(np.isfinite(h))
 
     def test_from_split_maps_only_the_train_codes(self):
@@ -138,7 +136,7 @@ class TestEmbed:
         records = [make_record(i, day=i, hs6=codes[i % 4][0], cc=codes[i % 4][1]) for i in range(40)]
         records += [make_record(40, day=45, hs6="400004", cc="FR")]  # valid
         records += [make_record(41, day=59, cc="JP")]  # test; its hs6 is a train code
-        parts = split(CountryDataset.build("XX", records), SplitSpec(10, 10))
+        parts = split(CountryDataset.build("XX", records_of(records)), SplitSpec(10, 10))
         params = EncoderParams.from_split(np.random.default_rng(0), parts["train"], SMALL)
         assert list(params.hs6_vocab.items()) == [("100001", 0), ("200002", 1), ("300003", 2)]
         assert list(params.country_vocab.items()) == [("DE", 0), ("US", 1)]
@@ -229,7 +227,7 @@ class TestSerialization:
 
 def test_record_features_definition():
     rec = make_record(0)
-    (f,) = record_features(Records.of([rec]))
+    (f,) = record_features(records_of([rec]))
     assert f[0] == math.log(rec.quantity)
     assert f[4] == rec.cif_value / rec.gross_weight
 
@@ -247,7 +245,7 @@ def test_featurization_bits_match_per_record_arrays():
             ]
         )
 
-    base = make_dataset(6).records
+    base = list(make_dataset(6).records)
     extremes = [
         dict(quantity=1e-300, gross_weight=1e300, cif_value=1e-300, total_taxes=0.0),
         dict(quantity=1e300, gross_weight=1e200, cif_value=1e300, total_taxes=1e300),  # price_per_kg at its bound
@@ -256,7 +254,7 @@ def test_featurization_bits_match_per_record_arrays():
     ]
     ds = CountryDataset.build(
         "XX",
-        [*base, *(dataclasses.replace(base[i], id=1000 + i, **e) for i, e in enumerate(extremes))],
+        records_of([*base, *(base[i]._replace(id=1000 + i, **e) for i, e in enumerate(extremes))]),
     )
     records = ds.records
     want = np.stack([per_record(r) for r in records])

@@ -30,6 +30,7 @@ from protobank.evaluation import (
 )
 from protobank.adapt import FinetuneConfig
 from protobank.pretrain import PretrainConfig
+from tests.records_edge import records_of
 from tests.test_declarations import make_record
 
 
@@ -38,7 +39,7 @@ def revenue_dataset(revenues):
         make_record(i, day=i, illicit=rev > 0, revenue=float(rev))
         for i, rev in enumerate(revenues)
     ]
-    return CountryDataset.build("EV", records)
+    return CountryDataset.build("EV", records_of(records))
 
 
 def oracle_revenue(scores, revenues, rate):
@@ -101,7 +102,7 @@ class TestRevenueAtK:
         with pytest.raises(MetricError):
             revenue_at_k(np.zeros(2), ds, 0.5)
         with pytest.raises(MetricError):
-            revenue_at_k(np.zeros(0), CountryDataset.build("E", []), 0.5)
+            revenue_at_k(np.zeros(0), CountryDataset.build("E", records_of([])), 0.5)
         good = revenue_dataset([1.0, 0.0])
         with pytest.raises(DataError):
             revenue_at_k(np.zeros(3), good, 0.5)
@@ -109,8 +110,8 @@ class TestRevenueAtK:
             revenue_at_k(np.zeros(2), good, 0.0)
 
     def test_unlabeled_record_has_no_sealed_label(self):
-        unlabeled = dataclasses.replace(make_record(1, day=1), illicit=None, revenue=None)
-        ds = CountryDataset.build("EV", [make_record(0, illicit=True, revenue=2.0), unlabeled])
+        unlabeled = make_record(1, day=1)._replace(illicit=None, revenue=None)
+        ds = CountryDataset.build("EV", records_of([make_record(0, illicit=True, revenue=2.0), unlabeled]))
         with pytest.raises(DataError, match="record 1 has no sealed label"):
             revenue_at_k(np.zeros(2), ds, 0.5)
 
@@ -119,7 +120,7 @@ class TestRevenueAtK:
         records = [
             make_record(i, day=i % 30, illicit=rev > 0, revenue=rev) for i, rev in enumerate(revs)
         ]
-        ds = CountryDataset.build("EV", records)
+        ds = CountryDataset.build("EV", records_of(records))
         masked = mask_labels(ds, 0.1, 4)
         truth = {r.id: r for r in ds.records}
         scores = np.random.default_rng(0).normal(size=len(ds))

@@ -22,6 +22,7 @@ from protobank.pretrain import (
     stratified_batches,
     valid_metric,
 )
+from tests.records_edge import records_of
 from tests.test_declarations import make_record
 
 FAST = PretrainConfig(epochs=4, batch_size=32, seed=0, encoder=EncoderConfig(k=4, d=8, n_kernels=2))
@@ -54,7 +55,7 @@ def separable_dataset(n=300, n_days=80, seed=0):
                 revenue=25.0 if fraud else 0.0,
             )
         )
-    return CountryDataset.build("SEP", records)
+    return CountryDataset.build("SEP", records_of(records))
 
 
 class TestSclLoss:
@@ -306,7 +307,7 @@ class TestPretrain:
 
     def test_single_class_rejected(self):
         records = [make_record(i, day=i, illicit=False, revenue=0.0) for i in range(60)]
-        ds = CountryDataset.build("XX", records)
+        ds = CountryDataset.build("XX", records_of(records))
         parts = split(ds, SplitSpec(10, 5))
         with pytest.raises(DataError):
             pretrain(parts["train"], parts["valid"], FAST)
@@ -373,7 +374,7 @@ class TestFit:
         # frauds without revenue leave Revenue@k undefined; masking hides the
         # labels the -BCE fallback would read if it looked at the records
         records = [make_record(i, day=i, illicit=i % 3 == 0, revenue=0.0) for i in range(30)]
-        ds = CountryDataset.build("VM", records)
+        ds = CountryDataset.build("VM", records_of(records))
         scores = np.linspace(0.05, 0.95, 30)
         y = np.array([1.0 if r.illicit else 0.0 for r in ds.records])
         want = float(np.mean(y * np.log(scores) + (1 - y) * np.log(1 - scores)))
@@ -439,4 +440,4 @@ class TestSelectFraudLike:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DataError):
-            select_fraud_like(None, CountryDataset.build("XX", []), 0.05)
+            select_fraud_like(None, CountryDataset.build("XX", records_of([])), 0.05)

@@ -32,7 +32,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
-import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
@@ -81,9 +80,8 @@ def record_bytes(records) -> bytes:
     """Every field of every record in exact form: floats as hex, the rest as repr."""
     cells = []
     for r in records:
-        for f in dataclasses.fields(r):
-            value = getattr(r, f.name)
-            cells.append(f"{f.name}={value.hex() if type(value) is float else repr(value)}")
+        for name, value in r._asdict().items():
+            cells.append(f"{name}={value.hex() if type(value) is float else repr(value)}")
     return "\n".join(cells).encode()
 
 

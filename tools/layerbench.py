@@ -1,4 +1,4 @@
-"""Time the data path at large row counts and the training path, stage by stage; print one JSON object.
+"""Time the data path at large row counts, the training path and the bank, stage by stage; print one JSON object.
 
     python tools/layerbench.py --rows 200000 1000000
     python tools/layerbench.py --tree ../other-checkout --rows 200000
@@ -16,13 +16,20 @@ CSV under a temporary directory and measures, in this order:
 
 Then, under `pretrain`, it measures the source pretrain of perfbench's
 `transfer` operation: `PretrainConfig(seed=SEED)` (10 epochs, batches of 128)
-on the SRC split of `two_country_world_config()`.
+on the SRC split of `two_country_world_config()`, and under `kmeans`
+`bank.kmeans` at export's scale: k = 500 over 2000 seeded normal 32-dim rows,
+with the iterations of the kept restart (`iters`).
 
-Each stage runs twice on the same input: once plain for its wall seconds
-(`s`), the minor page faults it took (`minflt`) and its system seconds
+Each of these stages runs twice on the same input: once plain for its wall
+seconds (`s`), the minor page faults it took (`minflt`) and its system seconds
 (`sys_s`), both from getrusage, then under tracemalloc for its peak of traced
 memory above what was held before it (`peak_mib`). Faults show allocator
 churn: memory the C allocator gave back to the system and touched again.
+
+Under `bank_store` it gives the median milliseconds of `STORE_CALLS`
+in-process `BankStore` calls of each of `put` (a stored set again), `get`
+(one set) and `list`, in a store of 8 prototype sets of 1000 × 32 rows.
+
 `--tree` names the checkout whose `src/` is imported (default: this one), so
 the same script measures two trees. BLAS runs on one thread. `peak_rss_mib`
 is the process's peak resident set over every stage.
@@ -40,6 +47,7 @@ import gc  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -47,7 +55,8 @@ import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-SEED = 3  # seeds the world, the mask and the encoder
+SEED = 3  # seeds the world, the mask, the encoder, k-means and the stored sets
+STORE_CALLS = 50
 
 
 def measure(fn) -> tuple[object, dict]:
@@ -111,6 +120,43 @@ def run_pretrain() -> dict:
     return measure(lambda: pretrain(src["train"], src["valid"], PretrainConfig(seed=SEED)))[1]
 
 
+def run_kmeans() -> dict:
+    import numpy as np
+
+    from protobank.bank import kmeans
+
+    points = np.random.default_rng(SEED).normal(size=(2000, 32))
+    result, stage = measure(lambda: kmeans(points, 500, SEED))
+    return {**stage, "iters": result.n_iters}
+
+
+def median_ms(fn) -> float:
+    """Median wall milliseconds of `STORE_CALLS` calls of `fn()`."""
+    times = []
+    for _ in range(STORE_CALLS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) * 1e3, 3)
+
+
+def run_bank_store(tmp: Path) -> dict:
+    import numpy as np
+
+    from protobank.bank import BankStore
+    from protobank.container import PrototypeSet, serialize
+
+    rng = np.random.default_rng(SEED)
+    blobs = [serialize(PrototypeSet(f"S{i}", 32, rng.normal(size=(500, 32)),
+                                    rng.normal(size=(500, 32)))) for i in range(8)]
+    store = BankStore(tmp / "store")
+    for blob in blobs:
+        store.put(blob)
+    return {"put_ms": median_ms(lambda: store.put(blobs[0])),
+            "get_ms": median_ms(lambda: store.get("S0")),
+            "list_ms": median_ms(store.list), "sets": len(blobs), "bytes_per_set": len(blobs[0])}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
@@ -133,7 +179,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for rows in args.rows:
             result["rows"][str(rows)] = run(rows, Path(tmp))
+        result["bank_store"] = run_bank_store(Path(tmp))
     result["pretrain"] = run_pretrain()
+    result["kmeans"] = run_kmeans()
     result["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(result))
     return 0
