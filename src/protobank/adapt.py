@@ -1,17 +1,16 @@
 """Target-side fine-tuning with prototype memory attention and calibration.
 
-Each target representation attends over the full multi-source bank with
-softmax dot-product weights, a learned sigmoid gate decides elementwise
-how much of the attended summary to let through, and the refined
-representation h + h_bar feeds a freshly initialized fraud head. With the
-memory disabled the same code path degrades exactly to plain fine-tuning
-(the Vanilla Transfer baseline when initialized from a source model, the
-Target Only baseline when initialized fresh).
+Each target representation attends over the full multi-source bank, which a
+model holds as one `FrozenBank`, with softmax dot-product weights; a learned
+sigmoid gate decides elementwise how much of the attended summary to let
+through, and the refined representation h + h_bar feeds a freshly
+initialized fraud head. With the memory disabled the same code path degrades
+exactly to plain fine-tuning (the Vanilla Transfer baseline when initialized
+from a source model, the Target Only baseline when initialized fresh).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -73,15 +72,18 @@ class FinetuneConfig:
 
 
 class FrozenBank:
-    """The memory rows a target attends over, checked once, and their transpose;
-    both are constant tensors, so the bank gets no gradient."""
+    """The memory rows a width-`d` target attends over, and their transpose;
+    both are constant tensors, so the bank gets no gradient. The one check of a
+    bank against a model: a finite (M, d) matrix with M >= 1."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, d: int):
         rows = np.asarray(matrix, dtype=np.float64)
         if rows.ndim != 2:
             raise ShapeError(f"a memory bank must be an (M, d) matrix, got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise DataError("memory bank is empty")
+        if rows.shape[1] != d:
+            raise DataError(f"bank dimension {rows.shape[1]} != representation width {d}")
         self.rows = Tensor(rows)  # the bank's one finiteness scan
         # a C-contiguous copy: BLAS multiplies by the `.T` view with another
         # kernel, and the logits' bits would move
@@ -94,51 +96,38 @@ class FrozenBank:
 
 @dataclass
 class AdaptParams:
-    """Target model: encoder (with fraud head) plus adaptation layers.
-
-    `bank` is `bank_matrix` as a `FrozenBank`, or None without a memory. It is
-    built whenever `bank_matrix` is set, so it never goes stale.
-    """
+    """Target model: encoder (with fraud head), adaptation layers and the
+    frozen bank it attends over (None disables the memory)."""
 
     encoder: EncoderParams
     tensors: dict[str, Tensor]
-    bank_matrix: np.ndarray | None = None  # frozen memory rows; None disables the memory
+    bank: FrozenBank | None = None
     use_calibration: bool = True
-
-    def __setattr__(self, name, value) -> None:
-        if name == "bank_matrix":
-            bank = None if value is None else FrozenBank(value)
-            object.__setattr__(self, "bank", bank)
-            value = None if bank is None else bank.rows.data
-        object.__setattr__(self, name, value)
 
     @staticmethod
     def init(
         encoder: EncoderParams,
         rng: np.random.Generator,
-        bank_matrix: np.ndarray | None = None,
+        bank: FrozenBank | None = None,
         use_calibration: bool = True,
     ) -> "AdaptParams":
         tensors = draw_tensors(rng, _adapt_specs(encoder.config.d))
-        return AdaptParams(encoder, tensors, bank_matrix, use_calibration)
+        return AdaptParams(encoder, tensors, bank, use_calibration)
 
     def copy(self) -> "AdaptParams":
         """Fresh tensors; the encoder's frozen context and the bank are shared."""
-        twin = copy.copy(self)  # sets no `bank_matrix`, so `bank` is shared, not rebuilt
-        twin.encoder, twin.tensors = self.encoder.copy(), copy_tensors(self.tensors)
-        return twin
+        return replace(self, encoder=self.encoder.copy(), tensors=copy_tensors(self.tensors))
 
     def all_tensors(self) -> dict[str, Tensor]:
         return {**self.encoder.tensors, **self.tensors}
 
 
-def memory_attend(h, memory) -> tuple[Tensor, Tensor]:
+def memory_attend(h, bank: FrozenBank) -> tuple[Tensor, Tensor]:
     """Softmax dot-product attention of each row of h over every bank row.
 
-    h: (N, d); memory: the (M, d) bank matrix, or a model's `FrozenBank`.
-    Returns (attended, weights), (N, d) and (N, M).
+    h: (N, d); bank: M rows of width d. Returns (attended, weights), (N, d)
+    and (N, M).
     """
-    bank = memory if isinstance(memory, FrozenBank) else FrozenBank(memory)
     ht = h if isinstance(h, Tensor) else Tensor(h)
     if ht.data.ndim != 2:
         raise ShapeError(f"memory_attend expects an (N, d) matrix, got {ht.shape}")
@@ -228,9 +217,8 @@ def _init_model(
         enc.reinit_head(rng)
     else:
         enc = EncoderParams.from_split(rng, target_train, cfg.encoder)
-    bank = memory.matrix() if cfg.use_memory and memory else None  # None or empty: no memory
-    if bank is not None and bank.shape[1] != enc.config.d:
-        raise ShapeError(f"bank dimension {bank.shape[1]} != representation width {enc.config.d}")
+    use_bank = cfg.use_memory and memory  # None or empty: no memory
+    bank = FrozenBank(memory.matrix(), enc.config.d) if use_bank else None
     return AdaptParams.init(enc, rng, bank, cfg.use_calibration)
 
 
@@ -280,20 +268,15 @@ def akc_finetune(
     target_valid: CountryDataset,
     source_params: EncoderParams,
     cfg: FinetuneConfig,
+    target_pretrained: AdaptParams,
     keep_fraction: float = 0.2,
     akc_weight: float = 1.0,
-    target_pretrained: AdaptParams | None = None,
 ) -> tuple[AdaptParams, list[dict]]:
     """Adaptive-transfer baseline: source fine-tuning plus a feature-consistency
-    penalty on the target records whose source/target score gap is smallest."""
-    if not 0 < keep_fraction <= 1:
-        raise DataError(f"keep_fraction {keep_fraction} out of (0, 1]")
+    penalty on the target records whose source score is closest to that of
+    `target_pretrained`, the reference target-only model."""
     if source_params is None:
         raise DataError("adaptive transfer requires source parameters")
-    if target_pretrained is None:
-        pre_cfg = replace(cfg, init_from_source=False, use_memory=False)
-        target_pretrained, _ = finetune(target_train, target_valid, None, None, pre_cfg)
-
     labeled = target_train.labeled()
     src_scores = encoder_scores(source_params, labeled)
     tgt_scores = score_records(target_pretrained, labeled)
@@ -323,8 +306,8 @@ def save_adapt(params: AdaptParams) -> bytes:
     meta["use_calibration"] = params.use_calibration
     tensors = {k: t.data for k, t in params.encoder.tensors.items()}
     tensors.update({f"adapt.{k}": t.data for k, t in params.tensors.items()})
-    if params.bank_matrix is not None:
-        tensors["memory.bank"] = params.bank_matrix
+    if params.bank is not None:
+        tensors["memory.bank"] = params.bank.rows.data
     return write_envelope(meta, tensors)
 
 
@@ -347,9 +330,6 @@ def load_model(data: bytes) -> EncoderParams | AdaptParams:
     use_calibration = meta.get("use_calibration")
     if type(use_calibration) is not bool:
         raise FormatError(f"use_calibration must be a boolean, got {use_calibration!r}")
-    return AdaptParams(
-        enc,
-        {k: Tensor(v, requires_grad=True) for k, v in adapt_tensors.items()},
-        bank,
-        use_calibration,
-    )
+    tensors = {k: Tensor(v, requires_grad=True) for k, v in adapt_tensors.items()}
+    frozen = None if bank is None else FrozenBank(bank, enc.config.d)
+    return AdaptParams(enc, tensors, frozen, use_calibration)

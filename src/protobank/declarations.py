@@ -195,6 +195,9 @@ def _record_faults(r: Records) -> list:
             (r.illicit == 0) & (revenue != 0),
             lambda i: f"revenue {float(revenue[i])} on a non-fraud",
         ),
+        # load_csv rejects these two while parsing; Records built in code meet them here
+        (~np.isin(r.illicit, (-1, 0, 1)), lambda i: "illicit must be 0, 1, or empty"),
+        ((r.illicit == -1) & (revenue != 0), lambda i: "revenue given for unlabeled row"),
     ]
     return [(bad, lambda i, say=say: f"record {r.ids[i]}: {say(i)}") for bad, say in rules]
 
@@ -233,8 +236,10 @@ class CountryDataset:
 
     @staticmethod
     def build(country_id: str, recs: Records) -> "CountryDataset":
-        """A dataset of checked Records in any order, sorted by (date, id);
-        SchemaError naming the first id that repeats."""
+        """A dataset of Records in any order, sorted by (date, id); SchemaError
+        for the first row that breaks a record rule, or naming the first id
+        that repeats."""
+        _check(recs)
         ids = recs.ids
         by_id = np.argsort(ids, kind="stable")
         repeats = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]
@@ -637,9 +642,7 @@ def _generate_country(
         "illicit": fraud,
         "revenue": np.where(fraud, rate * (true_value - declared), 0.0),
     }
-    records = Records(columns, hs6_codes, _ORIGIN_POOL)
-    _check(records)
-    return CountryDataset.build(spec.country_id, records)
+    return CountryDataset.build(spec.country_id, Records(columns, hs6_codes, _ORIGIN_POOL))
 
 
 def generate_world(cfg: SyntheticWorldConfig) -> dict[str, CountryDataset]:

@@ -55,7 +55,6 @@ class PretrainConfig:
     batch_size: int = 128
     learning_rate: float = 0.005
     weight_decay: float = 0.01
-    cls_weight: float = 1.0  # auxiliary classification loss weight
     scl_weight: float = 1.0  # 0 disables the contrastive term (ablation)
     seed: int = 0
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
@@ -63,9 +62,8 @@ class PretrainConfig:
     def __post_init__(self) -> None:
         _check_tau(self.tau)
         check_schedule(self, min_batch=2)
-        for name in ("cls_weight", "scl_weight"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise DataError(f"{name} must be finite and nonnegative, got {getattr(self, name)}")
+        if not 0 <= self.scl_weight < np.inf:
+            raise DataError(f"scl_weight must be finite and nonnegative, got {self.scl_weight}")
 
 
 def scl_loss(h: Tensor, labels: np.ndarray, tau: float) -> Tensor:
@@ -200,9 +198,7 @@ def pretrain(
             # with batch size and swamps the classification term
             scl_part = nm.mul(scl, cfg.scl_weight / len(idx))
         cls = nm.bce(score_batch(params, h), Tensor(y[idx].astype(np.float64).reshape(-1, 1)))
-        loss = nm.mul(cls, cfg.cls_weight)
-        if scl_part is not None:
-            loss = nm.add(scl_part, loss)
+        loss = cls if scl_part is None else nm.add(scl_part, cls)
         return loss, {"scl_loss": scl_val, "cls_loss": cls.item()}
 
     return fit(params, params.tensors, score_records, ds_valid, y, batch_loss, cfg, rng)

@@ -19,6 +19,7 @@ from protobank import numerics as nm
 from protobank.adapt import (
     AdaptParams,
     FinetuneConfig,
+    FrozenBank,
     calibrate,
     finetune,
     memory_attend,
@@ -142,7 +143,7 @@ def test_criterion_01_gradient_correctness():
         records = _random_records(rng, n)
         feats, hi, ci = batch_inputs(params.encoder, records_of(records))
         y = Tensor(np.array([[1.0 if r.illicit else 0.0] for r in records]))
-        bank_rows = params.bank_matrix = rng.normal(size=(int(rng.integers(2, 5)), d))
+        bank = params.bank = FrozenBank(rng.normal(size=(int(rng.integers(2, 5)), d)), d)
 
         # embed -> attend -> calibrate -> refine -> score -> bce, by parameter
         name = probe_names[seed % len(probe_names)]
@@ -163,7 +164,7 @@ def test_criterion_01_gradient_correctness():
         h0 = rng.normal(size=(n, d))
 
         def f_h(t):
-            h_ts, _ = memory_attend(t, bank_rows)
+            h_ts, _ = memory_attend(t, bank)
             h_bar, _ = calibrate(params, t, h_ts)
             return nm.bce(score_batch(params.encoder, refine(t, h_bar)), y)
 

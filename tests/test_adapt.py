@@ -9,6 +9,7 @@ from protobank import numerics as nm
 from protobank.adapt import (
     AdaptParams,
     FinetuneConfig,
+    FrozenBank,
     akc_finetune,
     calibrate,
     finetune,
@@ -54,13 +55,13 @@ class TestMemoryAttend:
     def test_single_prototype_bank(self):
         bank = assemble([PrototypeSet("S", 3, np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 3.0]]))])
         # restrict to one row by slicing the matrix directly
-        h_ts, w = memory_attend(np.array([[0.5, 0.5, 0.5]]), bank.matrix()[:1])
+        h_ts, w = memory_attend(np.array([[0.5, 0.5, 0.5]]), FrozenBank(bank.matrix()[:1], 3))
         assert np.allclose(w.data, [[1.0]])
         assert np.allclose(h_ts.data, [[1.0, 2.0, 3.0]])
 
     def test_two_orthogonal_prototypes_hand_softmax(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        h_ts, w = memory_attend(np.array([[1.0, 0.0]]), rows)
+        h_ts, w = memory_attend(np.array([[1.0, 0.0]]), FrozenBank(rows, 2))
         e = math.e
         assert np.allclose(w.data, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
         assert np.allclose(h_ts.data, w.data @ rows, atol=1e-12)
@@ -68,7 +69,7 @@ class TestMemoryAttend:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         bank = small_bank(dim=6, rows=9)
-        _, w = memory_attend(rng.normal(size=(4, 6)), bank.matrix())
+        _, w = memory_attend(rng.normal(size=(4, 6)), FrozenBank(bank.matrix(), 6))
         assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w.data >= 0)
 
@@ -77,22 +78,25 @@ class TestMemoryAttend:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(3, 4))
         rows = rng.normal(size=(6, 4))
-        _, w1 = memory_attend(h, rows)
+        _, w1 = memory_attend(h, FrozenBank(rows, 4))
         shifted = nm.softmax(nm.add(nm.matmul(Tensor(h), nm.transpose(Tensor(rows))), 57.0), axis=1)
         assert np.allclose(w1.data, shifted.data, atol=1e-12)
 
     def test_empty_bank_and_dim_mismatch(self):
         with pytest.raises(DataError):
-            memory_attend(np.ones((1, 3)), assemble([]).matrix())
+            FrozenBank(assemble([]).matrix(), 3)
         with pytest.raises(DataError):
-            memory_attend(np.ones((1, 3)), np.zeros((0, 3)))
+            FrozenBank(np.zeros((0, 3)), 3)
+        # a bank of another width than the model's is bad input, not a shape fault
+        with pytest.raises(DataError, match="bank dimension 5 != representation width 3"):
+            FrozenBank(np.ones((4, 5)), 3)
         with pytest.raises(ShapeError):
-            memory_attend(np.ones((2, 3)), np.ones((4, 5)))
+            memory_attend(np.ones((2, 3)), FrozenBank(np.ones((4, 5)), 5))
         # a bank that is not a matrix is a shape fault, not an empty bank
         with pytest.raises(ShapeError, match=r"\(3,\)"):
-            memory_attend(np.ones((2, 3)), np.ones(3))
+            FrozenBank(np.ones(3), 3)
         with pytest.raises(ShapeError, match=r"\(1, 4, 3\)"):
-            memory_attend(np.ones((2, 3)), np.ones((1, 4, 3)))
+            FrozenBank(np.ones((1, 4, 3)), 3)
 
 
 _SOFTMAX = nm.softmax
@@ -110,7 +114,8 @@ def world():
 
 
 def world_model(world, bank_rows: int) -> AdaptParams:
-    bank = np.random.default_rng(bank_rows).normal(size=(bank_rows, world[0].config.d))
+    d = world[0].config.d
+    bank = FrozenBank(np.random.default_rng(bank_rows).normal(size=(bank_rows, d)), d)
     return AdaptParams.init(world[0], np.random.default_rng(1), bank)
 
 
@@ -125,7 +130,7 @@ class TestLogitsOverwrite:
         def outputs():
             got = []
             for n in (1, 1023, 1024, 1025):
-                attended, weights = memory_attend(h[:n], model.bank_matrix)
+                attended, weights = memory_attend(h[:n], model.bank)
                 got += [attended.data, weights.data, score_records(model, records[:n])]
             return got
 
@@ -148,11 +153,11 @@ class TestLogitsOverwrite:
     @pytest.mark.parametrize("rows", [1, 197, 2000])
     def test_grad_check_wrt_h(self, rows):
         rng = np.random.default_rng(rows)
-        bank_rows = rng.normal(size=(rows, 4))
+        bank = FrozenBank(rng.normal(size=(rows, 4)), 4)
         g = rng.normal(size=(3, 4))
 
         def f(t):
-            return nm.reduce_sum(nm.mul(memory_attend(t, bank_rows)[0], Tensor(g)))
+            return nm.reduce_sum(nm.mul(memory_attend(t, bank)[0], Tensor(g)))
 
         assert grad_check(f, Tensor(rng.normal(size=(3, 4))), eps=1e-5) <= 1e-5
 
@@ -330,7 +335,7 @@ class TestFinetune:
 
     def test_memory_requires_matching_dim(self):
         parts = self._parts()
-        with pytest.raises(ShapeError):
+        with pytest.raises(DataError, match="bank dimension 5 != representation width 8"):
             finetune(parts["train"], parts["valid"], small_bank(dim=5), None, SMALL_FT)
 
     def test_init_from_source_reinitializes_head(self):
@@ -352,29 +357,27 @@ class TestFinetune:
         bank = small_bank(dim=8, rows=6, seed=4)
         cfg = FinetuneConfig(epochs=2, seed=1, use_memory=True, encoder=SMALL_FT.encoder)
         model, _ = finetune(parts["train"], parts["valid"], bank, None, cfg)
-        assert model.bank_matrix is not None
+        assert model.bank is not None
         with_bank = score_records(model, parts["test"].records)
-        model.bank_matrix = None
+        model.bank = None
         without = score_records(model, parts["test"].records)
         assert not np.allclose(with_bank, without)
 
     def test_copy_shares_bank_and_context_with_fresh_tensors(self):
         enc = small_params(seed=1, config=EncoderConfig(k=4, d=6, n_kernels=2))
-        model = AdaptParams.init(enc, np.random.default_rng(1), small_bank(dim=6).matrix(), False)
+        bank = FrozenBank(small_bank(dim=6).matrix(), 6)
+        model = AdaptParams.init(enc, np.random.default_rng(1), bank, False)
         twin = model.copy()
-        assert twin.bank_matrix is model.bank_matrix and twin.use_calibration is False
-        assert twin.bank is model.bank  # checked and transposed once per model
+        assert twin.bank is model.bank and twin.use_calibration is False  # checked and transposed once
         assert twin.encoder.stats is enc.stats and twin.encoder.hs6_vocab is enc.hs6_vocab
         assert twin.all_tensors().keys() == model.all_tensors().keys()
         for name, t in model.all_tensors().items():
             fresh = twin.all_tensors()[name]
             assert fresh is not t and not np.shares_memory(fresh.data, t.data)
             assert fresh.data.tobytes() == t.data.tobytes()
-        # a bank set later replaces the prepared one; the original model keeps its own
-        twin.bank_matrix = small_bank(dim=6, seed=3).matrix()
-        assert twin.bank is not model.bank and twin.bank.rows.data is twin.bank_matrix
-        assert twin.bank.rows_t.data.tobytes() == twin.bank_matrix.T.tobytes()
-        assert model.bank.rows.data is model.bank_matrix
+        # the transpose is a C-order copy of the rows' transpose
+        assert bank.rows_t.data.flags.c_contiguous
+        assert bank.rows_t.data.tobytes() == bank.rows.data.T.tobytes()
 
     def test_memory_finetune_keeps_bank_and_split_context(self, monkeypatch):
         parts = self._parts()
@@ -385,14 +388,14 @@ class TestFinetune:
         def context(m):
             enc = m.encoder
             vocabs = list(enc.hs6_vocab.items()), list(enc.country_vocab.items())
-            return m.bank_matrix.tobytes(), vocabs, enc.stats.mean.tobytes(), enc.stats.std.tobytes()
+            return m.bank.rows.data.tobytes(), vocabs, enc.stats.mean.tobytes(), enc.stats.std.tobytes()
 
         # the context every copy shares, read each time `fit` copies the model
         seen, copy = [], AdaptParams.copy
         monkeypatch.setattr(AdaptParams, "copy", lambda m: (seen.append(context(m)), copy(m))[1])
         model, _ = finetune(parts["train"], parts["valid"], bank, None, SMALL_FT)
-        want = context(AdaptParams(fresh, {}, bank.matrix()))
-        assert model.bank_matrix.shape == bank.matrix().shape
+        want = context(AdaptParams(fresh, {}, FrozenBank(bank.matrix(), 8)))
+        assert model.bank.shape == bank.matrix().shape
         assert len(seen) >= 2 and all(c == want for c in seen + [context(model)])
 
     @pytest.mark.parametrize("op", ["tanh", "softmax", "sigmoid"])
@@ -417,20 +420,21 @@ class TestAkc:
     def _parts(self):
         return split(separable_dataset(n=260), SplitSpec(15, 10))
 
-    def _source(self, parts):
-        src, _ = finetune(parts["train"], parts["valid"], None, None, SMALL_FT)
-        return src.encoder
+    def _target_only(self, parts):
+        """A target-only model, whose encoder also serves as the source."""
+        return finetune(parts["train"], parts["valid"], None, None, SMALL_FT)[0]
 
     def test_degenerate_config_matches_vanilla(self):
         parts = self._parts()
-        src = self._source(parts)
+        reference = self._target_only(parts)
+        src = reference.encoder
         cfg = FinetuneConfig(epochs=2, seed=5, encoder=SMALL_FT.encoder)
         vanilla_cfg = FinetuneConfig(
             epochs=2, seed=5, init_from_source=True, use_memory=False, encoder=SMALL_FT.encoder
         )
         vanilla, _ = finetune(parts["train"], parts["valid"], None, src, vanilla_cfg)
         akc, _ = akc_finetune(
-            parts["train"], parts["valid"], src, cfg, keep_fraction=1.0, akc_weight=0.0
+            parts["train"], parts["valid"], src, cfg, reference, keep_fraction=1.0, akc_weight=0.0
         )
         for name, t in vanilla.all_tensors().items():
             assert np.array_equal(t.data, akc.all_tensors()[name].data)
@@ -454,7 +458,7 @@ class TestAkc:
 
     def test_mse_zero_for_identical_extractors(self):
         parts = self._parts()
-        src = self._source(parts)
+        src = self._target_only(parts).encoder
         from protobank.encoder import embed_matrix
 
         labeled = parts["train"].labeled()[:10]
@@ -465,9 +469,13 @@ class TestAkc:
 
     def test_keep_fraction_validated(self):
         parts = self._parts()
-        src = self._source(parts)
-        with pytest.raises(DataError):
-            akc_finetune(parts["train"], parts["valid"], src, SMALL_FT, keep_fraction=0.0)
+        reference = self._target_only(parts)
+        for bad in (0.0, 1.5):
+            with pytest.raises(DataError, match="keep_fraction"):
+                akc_finetune(
+                    parts["train"], parts["valid"], reference.encoder, SMALL_FT, reference,
+                    keep_fraction=bad,
+                )
 
 
 class TestEndToEndGradient:
@@ -475,7 +483,7 @@ class TestEndToEndGradient:
     def test_full_composition(self, seed):
         rng = np.random.default_rng(seed)
         params = small_adapt(seed=seed)
-        params.bank_matrix = rng.normal(size=(4, 6))
+        params.bank = FrozenBank(rng.normal(size=(4, 6)), 6)
         ds = separable_dataset(n=8, seed=seed)
         feats, hi, ci = batch_inputs(params.encoder, ds.records)
         y = Tensor(np.array([[1.0 if r.illicit else 0.0] for r in ds.records]))
@@ -502,8 +510,8 @@ class TestAdaptSerialization:
         model, _ = finetune(parts["train"], parts["valid"], bank, None, cfg)
         blob = save_adapt(model)
         again = load_model(blob)
-        assert again.bank_matrix is not None and again.use_calibration
-        assert np.array_equal(again.bank_matrix, model.bank_matrix)
+        assert again.bank is not None and again.use_calibration
+        assert np.array_equal(again.bank.rows.data, model.bank.rows.data)
         scores_a = score_records(model, parts["test"].records)
         scores_b = score_records(again, parts["test"].records)
         assert np.array_equal(scores_a, scores_b)
@@ -527,7 +535,7 @@ class TestGraphFreeScoring:
         from protobank.pretrain import select_fraud_like
 
         model = small_adapt(d=6)
-        model.bank_matrix = small_bank(dim=6).matrix()
+        model.bank = FrozenBank(small_bank(dim=6).matrix(), 6)
         # a mixed set of flags must come back exactly as it was
         model.tensors["gate_w1"] = Tensor(model.tensors["gate_w1"].data)
         flags = {k: t.requires_grad for k, t in model.all_tensors().items()}

@@ -328,6 +328,17 @@ class TestExitCodes:
         assert "data error" in err and message in err
         assert not out.exists()
 
+    def test_bank_of_another_width_is_data_error(self, world_dir, tmp_path, capsys):
+        # a well-formed 16-dim prototype set, given to a model 32 wide
+        bank = tmp_path / "b16.pbk"
+        bank.write_bytes(serialize(PrototypeSet("AA", 16, np.ones((2, 16)), np.zeros((2, 16)))))
+        out = tmp_path / "m.pbm"
+        assert main(["finetune", "--data", str(world_dir / "data" / "BB.csv"), "--country", "BB",
+                     "--bank", str(bank), "--epochs", "1", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "bank dimension 16 != representation width 32" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "adapt, edit",
         [
@@ -341,13 +352,15 @@ class TestExitCodes:
             (False, lambda m, t: m.update(hs6_vocab=m["hs6_vocab"][:1] * 2)),
             (False, lambda m, t: t.update(extra=np.ones(2))),
             (True, lambda m, t: t.update({"memory.bank": np.ones((4, 7))})),
+            (True, lambda m, t: t.update({"memory.bank": np.ones((0, m["config"]["d"]))})),
+            (True, lambda m, t: t.update({"memory.bank": np.ones(m["config"]["d"])})),
             (True, lambda m, t: t.pop("adapt.gate_w1")),
             (True, lambda m, t: m.update(use_calibration="yes")),
         ],
         ids=[
             "no-config", "unknown-config-key", "no-w_num", "w_num-3x3", "zero-std",
             "short-mean", "float-width", "repeated-vocab", "extra-tensor", "bank-width-7",
-            "no-gate_w1", "string-flag",
+            "bank-0-rows", "bank-1-d", "no-gate_w1", "string-flag",
         ],
     )
     def test_malformed_model_bundle_is_data_error(

@@ -42,8 +42,6 @@ CASES = [
     ("pretrain", "batch_size", 1, "batch_size"),
     ("pretrain", "learning_rate", NAN, "learning_rate"),
     ("pretrain", "weight_decay", -0.01, "weight_decay"),
-    ("pretrain", "cls_weight", NAN, "cls_weight"),
-    ("pretrain", "cls_weight", -1.0, "cls_weight"),
     ("pretrain", "scl_weight", NAN, "scl_weight"),
     ("pretrain", "scl_weight", INF, "scl_weight"),
     ("pretrain", "scl_weight", -0.5, "scl_weight"),
@@ -110,7 +108,7 @@ def test_out_of_range_field_rejected(config, field, value, names):
 @pytest.mark.parametrize(
     "config, change",
     [
-        ("pretrain", {"epochs": 0, "batch_size": 2, "seed": 0, "cls_weight": 0.0}),
+        ("pretrain", {"epochs": 0, "batch_size": 2, "seed": 0}),
         ("pretrain", {"scl_weight": 0.0, "tau": 0.01}),
         ("finetune", {"batch_size": 1, "init_from_source": True, "use_memory": False}),
         ("scenario", {"seeds": (0, 2**40), "per_class": 1, "label_fraction": 1.0}),

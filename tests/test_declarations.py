@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +15,7 @@ from protobank.declarations import (
     CSV_COLUMNS,
     CountryDataset,
     CountrySpec,
+    Records,
     Row,
     SplitSpec,
     SyntheticWorldConfig,
@@ -115,8 +117,41 @@ class TestDatasetBuild:
         with pytest.raises(SchemaError):
             CountryDataset.build("XX", records_of([make_record(1), make_record(1, day=3)]))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({}, None),
+            ({"quantity": ["-5"]}, "quantity must be positive, got -5.0"),
+            ({"hs6_pool": ("12AB56",)}, "hs6 '12AB56' is not 6 digits"),
+            ({"country_pool": ("U1",)}, "country_code 'U1' is not 2 letters"),
+            ({"illicit": [-1], "revenue": [3.0]}, "revenue given for unlabeled row"),
+            ({"illicit": [2]}, "illicit must be 0, 1, or empty"),
+            (
+                {"quantity": ["-5"], "hs6_pool": ("12AB56",), "country_pool": ("U1",),
+                 "illicit": [-1], "revenue": [3.0]},
+                "hs6 '12AB56' is not 6 digits",
+            ),
+        ],
+        ids=["clean", "quantity", "hs6", "country", "hidden-revenue", "label", "all-at-once"],
+    )
+    def test_build_runs_the_record_rules(self, change, message):
+        # one row through the public Records constructor, which checks nothing
+        columns = {"ids": [0], "days": [date(2024, 1, 1).toordinal()], "quantity": ["1.5"],
+                   "gross_weight": [2.0], "hs6": [0], "country_code": [0], "cif_value": [10.0],
+                   "total_taxes": [1.0], "illicit": [0], "revenue": [0.0]}
+        pools = {"hs6_pool": ("100001",), "country_pool": ("US",)}
+        for key, value in change.items():
+            (pools if key.endswith("_pool") else columns)[key] = value
+        records = Records(columns, **pools)
+        if message is None:
+            assert len(CountryDataset.build("XX", records)) == 1
+            return
+        with pytest.raises(SchemaError, match=f"^record 0: {re.escape(message)}$"):
+            CountryDataset.build("XX", records)
+
     def test_split_runs_no_record_checks(self, monkeypatch):
         ds = make_dataset(60, n_days=60)
+        rows = records_of([make_record(i) for i in range(3)])
         calls = _count_record_checks(monkeypatch)
         parts = split(ds, SplitSpec(test_window_days=10, valid_window_days=10))
         train = parts["train"]
@@ -124,7 +159,7 @@ class TestDatasetBuild:
         mask_labels(train, 0.5, 0)
         assert sum(len(p) for p in parts.values()) == len(ds)
         assert calls == []
-        make_dataset(3)  # the count sees the rules when they do run
+        CountryDataset.build("XX", rows)  # the count sees the rules when they do run
         assert calls == [3]
 
 

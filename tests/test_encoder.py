@@ -322,8 +322,9 @@ class TestBlockedInteraction:
 
         records = world_records().records[:n]
         params = world_params()
-        model = adapt.AdaptParams.init(params, np.random.default_rng(1))
-        model.bank_matrix = np.random.default_rng(2).normal(size=(40, params.config.d))
+        d = params.config.d
+        bank = adapt.FrozenBank(np.random.default_rng(2).normal(size=(40, d)), d)
+        model = adapt.AdaptParams.init(params, np.random.default_rng(1), bank)
 
         def outputs():
             return [

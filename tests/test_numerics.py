@@ -352,7 +352,8 @@ def training_batch_loss(kind: str, monkeypatch):
         bank = assemble([PrototypeSet("SRC", enc.config.d, h[:40], h[40:])])
         adapt.finetune(tgt["train"], tgt["valid"], bank, enc, ft)
     else:
-        adapt.akc_finetune(tgt["train"], tgt["valid"], enc, ft)
+        reference = adapt.AdaptParams.init(enc, np.random.default_rng(2))
+        adapt.akc_finetune(tgt["train"], tgt["valid"], enc, ft, reference)
     return got["tensors"], got["batch_loss"], got["y"]
 
 

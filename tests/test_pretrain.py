@@ -8,7 +8,14 @@ import pytest
 
 from protobank.adapt import FinetuneConfig
 from protobank.declarations import CountryDataset, SplitSpec, mask_labels, split
-from protobank.encoder import EncoderConfig, embed_matrix, score_records
+from protobank.encoder import (
+    EncoderConfig,
+    EncoderParams,
+    batch_inputs,
+    embed_batch,
+    embed_matrix,
+    score_records,
+)
 from protobank.errors import DataError, NumericError
 from protobank.numerics import Tensor
 from protobank import numerics as nm
@@ -16,6 +23,7 @@ from protobank.pretrain import (
     PretrainConfig,
     curve_to_csv,
     fit,
+    labeled_targets,
     pretrain,
     scl_loss,
     select_fraud_like,
@@ -276,13 +284,19 @@ class TestPretrain:
         assert scores[y].mean() > scores[~y].mean()
 
     def test_pure_scl_still_clusters(self):
+        # pretraining's loop with the contrastive term alone as the objective
         ds = separable_dataset()
         parts = split(ds, SplitSpec(15, 10))
-        cfg = PretrainConfig(
-            epochs=4, batch_size=32, seed=0, cls_weight=0.0,
-            encoder=EncoderConfig(k=4, d=8, n_kernels=2),
-        )
-        params, _ = pretrain(parts["train"], parts["valid"], cfg)
+        labeled, y = labeled_targets(parts["train"], "pretraining")
+        rng = np.random.default_rng(FAST.seed)
+        params = EncoderParams.from_split(rng, parts["train"], FAST.encoder)
+        feats, hs6_idx, cty_idx = batch_inputs(params, labeled)
+
+        def batch_loss(idx):
+            h = embed_batch(params, feats[idx], hs6_idx[idx], cty_idx[idx])
+            return nm.mul(scl_loss(h, y[idx], FAST.tau), 1 / len(idx)), {}
+
+        params, _ = fit(params, params.tensors, score_records, parts["valid"], y, batch_loss, FAST, rng)
         h = embed_matrix(params, parts["train"].records)
         y = np.array([bool(r.illicit) for r in parts["train"].records])
         assert _silhouette(h, y) > 0.0

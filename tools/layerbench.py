@@ -18,7 +18,12 @@ Then, under `pretrain`, it measures the source pretrain of perfbench's
 `transfer` operation: `PretrainConfig(seed=SEED)` (10 epochs, batches of 128)
 on the SRC split of `two_country_world_config()`, and under `kmeans`
 `bank.kmeans` at export's scale: k = 500 over 2000 seeded normal 32-dim rows,
-with the iterations of the kept restart (`iters`).
+with the iterations of the kept restart (`iters`). Under `attend`, keyed by bank
+rows, it measures `adapt.score_records` over the first `ATTEND_RECORDS` TGT
+records of that world against banks of `ATTEND_BANK_ROWS` seeded normal rows
+(half fraud, half clean prototypes), each held by a target model that
+`finetune` builds with `FinetuneConfig(epochs=0)`: memory attention as the bank
+grows.
 
 Each of these stages runs twice on the same input: once plain for its wall
 seconds (`s`), the minor page faults it took (`minflt`) and its system seconds
@@ -57,6 +62,8 @@ from pathlib import Path  # noqa: E402
 
 SEED = 3  # seeds the world, the mask, the encoder, k-means and the stored sets
 STORE_CALLS = 50
+ATTEND_RECORDS = 2048
+ATTEND_BANK_ROWS = (500, 2000, 10_000)
 
 
 def measure(fn) -> tuple[object, dict]:
@@ -130,6 +137,27 @@ def run_kmeans() -> dict:
     return {**stage, "iters": result.n_iters}
 
 
+def run_attend() -> dict:
+    import numpy as np
+
+    from protobank.adapt import FinetuneConfig, finetune, score_records
+    from protobank.bank import assemble
+    from protobank.container import PrototypeSet
+    from protobank.declarations import SplitSpec, generate_world, split
+    from protobank.evaluation import two_country_world_config
+
+    tgt = generate_world(two_country_world_config())["TGT"]
+    parts, records = split(tgt, SplitSpec()), tgt.records[:ATTEND_RECORDS]
+    cfg = FinetuneConfig(epochs=0, seed=SEED)
+    d, rng, stages = cfg.encoder.d, np.random.default_rng(SEED), {}
+    for rows in ATTEND_BANK_ROWS:
+        points = rng.normal(size=(rows, d))
+        bank = assemble([PrototypeSet("SRC", d, points[: rows // 2], points[rows // 2 :])])
+        model, _ = finetune(parts["train"], parts["valid"], bank, None, cfg)
+        stages[str(rows)] = measure(lambda: score_records(model, records))[1]
+    return stages
+
+
 def median_ms(fn) -> float:
     """Median wall milliseconds of `STORE_CALLS` calls of `fn()`."""
     times = []
@@ -182,6 +210,7 @@ def main() -> int:
         result["bank_store"] = run_bank_store(Path(tmp))
     result["pretrain"] = run_pretrain()
     result["kmeans"] = run_kmeans()
+    result["attend"] = run_attend()
     result["peak_rss_mib"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
     print(json.dumps(result))
     return 0
