@@ -9,7 +9,7 @@ reproducible; Revenue@k is the evaluation currency throughout.
 """
 
 from ._version import __version__
-from .adapt import AdaptParams, FinetuneConfig, akc_finetune, calibrate, finetune, memory_attend, refine
+from .adapt import AdaptParams, FinetuneConfig, akc_finetune, finetune
 from .bank import BankClient, BankServer, BankStore, assemble, extract_prototypes, kmeans, random_bank
 from .container import MemoryBank, PrototypeSet, deserialize, serialize
 from .declarations import (
@@ -58,7 +58,6 @@ __all__ = [
     "SyntheticWorldConfig",
     "akc_finetune",
     "assemble",
-    "calibrate",
     "default_world_config",
     "deserialize",
     "emit_report",
@@ -68,10 +67,8 @@ __all__ = [
     "kmeans",
     "load_csv",
     "mask_labels",
-    "memory_attend",
     "pretrain",
     "random_bank",
-    "refine",
     "revenue_at_k",
     "scl_loss",
     "select_fraud_like",

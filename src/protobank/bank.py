@@ -32,7 +32,6 @@ import socket
 import socketserver
 import struct
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -421,11 +420,6 @@ class BankServer(socketserver.ThreadingTCPServer):
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
-
-    def serve_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 
 
 class BankClient:

@@ -18,6 +18,7 @@ from .adapt import score_records as adapt_scores
 from .bank import BankClient, BankServer, assemble, extract_prototypes
 from .container import MemoryBank, PrototypeSet, deserialize, serialize
 from .declarations import (
+    CountryDataset,
     CountrySpec,
     SplitSpec,
     SyntheticWorldConfig,
@@ -65,8 +66,7 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _echo_config(name: str, args: argparse.Namespace) -> None:
-    skip = {"func"}
-    pairs = sorted((k, v) for k, v in vars(args).items() if k not in skip)
+    pairs = sorted((k, v) for k, v in vars(args).items() if k != "func")
     line = " ".join(f"{k}={v}" for k, v in pairs)
     print(f"config: {name} {line}", file=sys.stderr)
 
@@ -140,12 +140,29 @@ def parse_world_config(text: str) -> SyntheticWorldConfig:
 # subcommands
 
 
-def _cmd_gen(args) -> int:
+def _world_flags(parser: _Parser) -> None:
+    parser.add_argument("--config", help="flat key=value world config (default: built-in world)")
+    parser.add_argument("--seed", type=int, default=None, help="world seed for the built-in config")
+
+
+def _world(args) -> SyntheticWorldConfig:
+    """The world of --config, or the built-in world seeded by --seed."""
     if args.config:
-        cfg = parse_world_config(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = default_world_config(_resolve_seed(args.seed))
-    world = generate_world(cfg)
+        return parse_world_config(Path(args.config).read_text(encoding="utf-8"))
+    return default_world_config(_resolve_seed(args.seed))
+
+
+def _data_flags(parser: _Parser, data_help: str) -> None:
+    parser.add_argument("--data", required=True, help=data_help)
+    parser.add_argument("--country", default=None, help="country id (default: file path)")
+
+
+def _dataset(args) -> CountryDataset:
+    return load_csv(args.data, country_id=args.country or str(args.data))
+
+
+def _cmd_gen(args) -> int:
+    world = generate_world(_world(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for cid, ds in world.items():
@@ -154,34 +171,49 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _split_flags(parser: _Parser) -> None:
-    parser.add_argument("--test-days", type=int, default=30, help="test window length")
-    parser.add_argument("--valid-days", type=int, default=14, help="validation window length")
+def _training_flags(parser: _Parser, config, stage: str) -> None:
+    """The flags `_training` reads, defaulting to `config`'s and SplitSpec's fields."""
+    add, spec = parser.add_argument, SplitSpec()
+    add("--epochs", type=int, default=config.epochs, help=f"{stage} epochs")
+    add("--batch", type=int, default=config.batch_size, help="batch size")
+    add("--lr", type=float, default=config.learning_rate, help="learning rate")
+    add("--weight-decay", type=float, default=config.weight_decay, help="decoupled weight decay")
+    add("--seed", type=int, default=None, help="run seed")
+    add("--curve", default=None, help="optional training-curve CSV path")
+    add("--test-days", type=int, default=spec.test_window_days, help="test window length")
+    add("--valid-days", type=int, default=spec.valid_window_days, help="validation window length")
+
+
+def _training(args, config, **fields):
+    """The `config` the shared training flags and `fields` give, and the
+    train and valid parts of --data. These flags are checked before the CSV
+    is read."""
+    cfg = config(
+        epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
+        weight_decay=args.weight_decay, seed=_resolve_seed(args.seed), **fields,
+    )
+    spec = SplitSpec(args.test_days, args.valid_days)
+    parts = split(_dataset(args), spec)
+    return cfg, parts["train"], parts["valid"]
+
+
+def _write_model(args, blob: bytes, curve, columns, what: str) -> int:
+    Path(args.out).write_bytes(blob)
+    if args.curve:
+        Path(args.curve).write_text(curve_to_csv(curve, columns), encoding="utf-8")
+    print(f"wrote {what} to {args.out}", file=sys.stderr)
+    return 0
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = PretrainConfig(
-        tau=args.tau,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        seed=_resolve_seed(args.seed),
-    )
-    spec = SplitSpec(args.test_days, args.valid_days)
-    parts = split(load_csv(args.data, country_id=args.country or str(args.data)), spec)
-    params, curve = pretrain(parts["train"], parts["valid"], cfg)
-    Path(args.out).write_bytes(save_encoder(params))
-    if args.curve:
-        Path(args.curve).write_text(curve_to_csv(curve, PRETRAIN_CURVE), encoding="utf-8")
-    print(f"wrote model to {args.out}", file=sys.stderr)
-    return 0
+    cfg, train, valid = _training(args, PretrainConfig, tau=args.tau)
+    params, curve = pretrain(train, valid, cfg)
+    return _write_model(args, save_encoder(params), curve, PRETRAIN_CURVE, "model")
 
 
 def _cmd_export_bank(args) -> int:
     params = load_encoder(Path(args.model).read_bytes())
-    ds = load_csv(args.data, country_id=args.country or str(args.data))
-    fraud_like = select_fraud_like(params, ds, args.fraction)
+    fraud_like = select_fraud_like(params, _dataset(args), args.fraction)
     proto = extract_prototypes(
         params, fraud_like, args.per_class, seed=_resolve_seed(args.seed), created_at=args.stamp
     )
@@ -212,12 +244,9 @@ def _cmd_fetch_bank(args) -> int:
         raise UsageError("--sources needs at least one source id")
     with BankClient(_parse_address(getattr(args, "from"))) as client:
         blobs = client.get(sources)
-    entries = []
-    for blob in blobs:
-        ps = deserialize(blob)
-        if not isinstance(ps, PrototypeSet):
-            raise DataError("service returned a non-prototype payload")
-        entries.append(ps)
+    entries = [deserialize(blob) for blob in blobs]
+    if not all(isinstance(ps, PrototypeSet) for ps in entries):
+        raise DataError("service returned a non-prototype payload")
     Path(args.out).write_bytes(serialize(assemble(entries)))
     print(f"fetched {len(entries)} prototype set(s) into {args.out}", file=sys.stderr)
     return 0
@@ -225,37 +254,23 @@ def _cmd_fetch_bank(args) -> int:
 
 def _load_bank(path) -> MemoryBank:
     obj = deserialize(Path(path).read_bytes())
-    if isinstance(obj, PrototypeSet):
-        return assemble([obj])
-    return obj
+    return assemble([obj]) if isinstance(obj, PrototypeSet) else obj
 
 
 def _cmd_finetune(args) -> int:
-    cfg = FinetuneConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        init_from_source=bool(args.init_from),
-        use_memory=bool(args.bank),
-        seed=_resolve_seed(args.seed),
+    cfg, train, valid = _training(
+        args, FinetuneConfig, init_from_source=bool(args.init_from), use_memory=bool(args.bank)
     )
-    spec = SplitSpec(args.test_days, args.valid_days)
-    parts = split(load_csv(args.data, country_id=args.country or str(args.data)), spec)
-    train = mask_labels(parts["train"], args.label_fraction, cfg.seed)
+    train = mask_labels(train, args.label_fraction, cfg.seed)
     bank = _load_bank(args.bank) if args.bank else None
     source = load_encoder(Path(args.init_from).read_bytes()) if args.init_from else None
-    params, curve = finetune(train, parts["valid"], bank, source, cfg)
-    Path(args.out).write_bytes(save_adapt(params))
-    if args.curve:
-        Path(args.curve).write_text(curve_to_csv(curve, FINETUNE_CURVE), encoding="utf-8")
-    print(f"wrote fine-tuned model to {args.out}", file=sys.stderr)
-    return 0
+    params, curve = finetune(train, valid, bank, source, cfg)
+    return _write_model(args, save_adapt(params), curve, FINETUNE_CURVE, "fine-tuned model")
 
 
 def _cmd_eval(args) -> int:
     model = load_model(Path(args.model).read_bytes())
-    ds = load_csv(args.data, country_id=args.country or str(args.data))
+    ds = _dataset(args)
     if isinstance(model, EncoderParams):
         scores = score_records(model, ds.records)
     else:
@@ -266,11 +281,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        world_cfg = parse_world_config(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        world_cfg = default_world_config(_resolve_seed(args.seed))
-    world = generate_world(world_cfg)
+    world = generate_world(_world(args))
     seeds = tuple(range(args.seeds))
     configs = suite_configs(args.suite, world, seeds=seeds, label_fraction=args.label_fraction)
     runner = ScenarioRunner(world)
@@ -301,28 +312,19 @@ def build_parser() -> _Parser:
         return p
 
     p = cmd("gen", "generate synthetic per-country CSVs", _cmd_gen)
-    p.add_argument("--config", help="flat key=value world config (default: built-in world)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="world seed for the built-in config")
+    _world_flags(p)
 
     p = cmd("pretrain", "contrastive pretraining on a source country", _cmd_pretrain)
-    p.add_argument("--data", required=True, help="declarations CSV")
+    _data_flags(p, "declarations CSV")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--country", default=None, help="country id (default: file path)")
-    p.add_argument("--tau", type=float, default=0.07, help="contrastive temperature")
-    p.add_argument("--epochs", type=int, default=10, help="pretraining epochs")
-    p.add_argument("--batch", type=int, default=128, help="batch size")
-    p.add_argument("--lr", type=float, default=0.005, help="learning rate")
-    p.add_argument("--weight-decay", type=float, default=0.01, help="decoupled weight decay")
-    p.add_argument("--seed", type=int, default=None, help="run seed")
-    p.add_argument("--curve", default=None, help="optional training-curve CSV path")
-    _split_flags(p)
+    p.add_argument("--tau", type=float, default=PretrainConfig.tau, help="contrastive temperature")
+    _training_flags(p, PretrainConfig, "pretraining")
 
     p = cmd("export-bank", "select fraud-like logs and export prototypes", _cmd_export_bank)
     p.add_argument("--model", required=True, help="pretrained model file")
-    p.add_argument("--data", required=True, help="declarations CSV")
+    _data_flags(p, "declarations CSV")
     p.add_argument("--out", required=True, help="output prototype-set file")
-    p.add_argument("--country", default=None, help="country id (default: file path)")
     p.add_argument("--per-class", type=int, default=500, help="prototypes per class")
     p.add_argument("--fraction", type=float, default=0.05, help="fraud-like share to keep")
     p.add_argument("--seed", type=int, default=None, help="clustering seed")
@@ -338,33 +340,24 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output memory-bank file")
 
     p = cmd("finetune", "fine-tune a target model with an optional bank", _cmd_finetune)
-    p.add_argument("--data", required=True, help="target declarations CSV")
+    _data_flags(p, "target declarations CSV")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--country", default=None, help="country id (default: file path)")
     p.add_argument("--bank", default=None, help="memory bank or prototype-set file")
     p.add_argument("--init-from", default=None, help="source model to initialize from")
     p.add_argument("--label-fraction", type=float, default=0.01, help="training label share")
-    p.add_argument("--epochs", type=int, default=30, help="fine-tuning epochs")
-    p.add_argument("--batch", type=int, default=128, help="batch size")
-    p.add_argument("--lr", type=float, default=0.005, help="learning rate")
-    p.add_argument("--weight-decay", type=float, default=0.01, help="decoupled weight decay")
-    p.add_argument("--seed", type=int, default=None, help="run seed")
-    p.add_argument("--curve", default=None, help="optional training-curve CSV path")
-    _split_flags(p)
+    _training_flags(p, FinetuneConfig, "fine-tuning")
 
     p = cmd("eval", "score a CSV and print Revenue@rate", _cmd_eval)
     p.add_argument("--model", required=True, help="model file (pretrained or fine-tuned)")
-    p.add_argument("--data", required=True, help="declarations CSV with labels")
-    p.add_argument("--country", default=None, help="country id (default: file path)")
+    _data_flags(p, "declarations CSV with labels")
     p.add_argument("--rate", type=float, default=0.05, help="inspection rate")
 
     p = cmd("experiment", "run one of the experiment suites", _cmd_experiment)
     p.add_argument("--suite", required=True, choices=SUITES, help="experiment family")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--config", default=None, help="world config file (default: built-in world)")
     p.add_argument("--seeds", type=int, default=5, help="number of seeds per scenario")
     p.add_argument("--label-fraction", type=float, default=0.01, help="target label share")
-    p.add_argument("--seed", type=int, default=None, help="world seed for the built-in config")
+    _world_flags(p)
 
     return parser
 

@@ -240,6 +240,11 @@ class CountryDataset:
         for the first row that breaks a record rule, or naming the first id
         that repeats."""
         _check(recs)
+        return CountryDataset._sorted(country_id, recs)
+
+    @staticmethod
+    def _sorted(country_id: str, recs: Records) -> "CountryDataset":
+        """`build` for Records that already meet the record rules."""
         ids = recs.ids
         by_id = np.argsort(ids, kind="stable")
         repeats = by_id[1:][ids[by_id[1:]] == ids[by_id[:-1]]]
@@ -290,21 +295,20 @@ def _ordinal(text: str) -> int:
 
 
 def _converted(fn, values, dtype, faults: list) -> np.ndarray:
-    """`fn` over `values` as a `dtype` array. A value it rejects reads as 1 and
-    adds its row to a malformed-row fault at the end of `faults`."""
+    """`fn` over `values` as a `dtype` array. The first value it rejects ends
+    the conversion, and its row becomes a malformed-row fault at the end of
+    `faults`; that row and the ones after it read as 1."""
     try:
         return np.fromiter(map(fn, values), dtype, len(values))
     except (ValueError, OverflowError):
         pass
-    out, errors = np.ones(len(values), dtype), {}
+    out = np.ones(len(values), dtype)
     for i, value in enumerate(values):
         try:
             out[i] = fn(value)
         except (ValueError, OverflowError) as e:  # an id beyond int64 overflows here
-            errors[i] = e
-    bad = np.zeros(len(values), dtype=bool)
-    bad[list(errors)] = True
-    faults.append((bad, lambda i: f"malformed row ({errors[i]})"))
+            faults.append((np.arange(len(values)) == i, lambda _, e=e: f"malformed row ({e})"))
+            break
     return out
 
 
@@ -459,7 +463,7 @@ def load_csv(path, country_id: str | None = None) -> CountryDataset:
         raise SchemaError(f"{where} {_line_of_row(path, row)}: {message}")
     if read_error is not None:
         raise read_error
-    return CountryDataset.build(country_id if country_id is not None else str(path), records)
+    return CountryDataset._sorted(country_id if country_id is not None else str(path), records)
 
 
 def write_csv(ds: CountryDataset, path) -> None:

@@ -349,7 +349,6 @@ def default_world_config(seed: int = 7) -> SyntheticWorldConfig:
             CountrySpec("C4", 3000, 180, 0.05, (0, 1)),
         ),
         n_hs6=40,
-        n_shared_patterns=3,
         pattern_strength=0.8,
     )
 
@@ -363,7 +362,6 @@ def two_country_world_config(seed: int = 11) -> SyntheticWorldConfig:
             CountrySpec("TGT", 6000, 180, 0.05, (0,)),
         ),
         n_hs6=40,
-        n_shared_patterns=1,
         pattern_strength=0.8,
     )
 
@@ -379,7 +377,6 @@ def multi_source_world_config(seed: int = 23) -> SyntheticWorldConfig:
             CountrySpec("TGT", 6000, 180, 0.05, (0, 1, 2)),
         ),
         n_hs6=40,
-        n_shared_patterns=3,
         pattern_strength=0.8,
     )
 
@@ -394,7 +391,6 @@ def ablation_world_config(seed: int = 11) -> SyntheticWorldConfig:
             CountrySpec("TGT", 6000, 180, 0.05, (0, 2)),
         ),
         n_hs6=60,
-        n_shared_patterns=1,
         pattern_strength=0.6,
     )
 

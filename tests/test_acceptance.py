@@ -59,6 +59,7 @@ from protobank.numerics import Tensor
 from protobank.pretrain import PretrainConfig, pretrain, scl_loss, select_fraud_like
 from tests.gradcheck import grad_check
 from tests.records_edge import records_of
+from tests.serving import serve_in_thread
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -287,7 +288,7 @@ def test_criterion_04_serialization_and_exchange(tmp_path):
             pass
 
     server = BankServer(tmp_path / "store")
-    server.serve_background()
+    serve_in_thread(server)
     try:
         blobs = {
             f"c{i}": serialize(

@@ -34,6 +34,7 @@ from protobank.bank import (
 )
 from protobank.container import MemoryBank, PrototypeSet, deserialize, serialize
 from protobank.errors import DataError, FormatError, NumericError
+from tests.serving import serve_in_thread
 from tests.test_pretrain import separable_dataset
 
 
@@ -407,7 +408,7 @@ class TestBankService:
     @pytest.fixture()
     def server(self, tmp_path):
         srv = BankServer(tmp_path / "store")
-        srv.serve_background()
+        serve_in_thread(srv)
         yield srv
         srv.shutdown()
         srv.server_close()

@@ -12,7 +12,8 @@ import pytest
 
 import protobank
 from protobank.bank import BankClient
-from protobank.cli import UsageError, _parse_address, main, parse_world_config
+from protobank.adapt import FinetuneConfig
+from protobank.cli import UsageError, _parse_address, build_parser, main, parse_world_config
 from protobank.container import (
     MemoryBank,
     PrototypeSet,
@@ -21,8 +22,9 @@ from protobank.container import (
     serialize,
     write_envelope,
 )
-from protobank.declarations import SyntheticWorldConfig, generate_world
+from protobank.declarations import SplitSpec, SyntheticWorldConfig, generate_world
 from protobank.errors import DataError
+from protobank.pretrain import PretrainConfig
 from tests.test_pretrain import nan_after
 
 WORLD_CFG = """
@@ -544,3 +546,15 @@ class TestHelp:
             text = capsys.readouterr().out
             for token in expects:
                 assert token in text, f"{sub} help missing {token}"
+
+    @pytest.mark.parametrize("sub, config", [("pretrain", PretrainConfig()),
+                                             ("finetune", FinetuneConfig())])
+    def test_training_flags_default_to_the_configs(self, sub, config):
+        args = build_parser().parse_args([sub, "--data", "d.csv", "--out", "m.pbm"])
+        spec = SplitSpec()
+        assert (args.epochs, args.batch, args.lr, args.weight_decay) == (
+            config.epochs, config.batch_size, config.learning_rate, config.weight_decay
+        )
+        assert (args.test_days, args.valid_days) == (spec.test_window_days, spec.valid_window_days)
+        assert getattr(args, "tau", None) == getattr(config, "tau", None)
+        assert args.seed is None and args.curve is None  # the seed comes from PROTOBANK_SEED

@@ -172,6 +172,13 @@ class TestCsv:
         assert again.records == ds.records
         assert again.sealed == ds.sealed
 
+    def test_load_runs_the_record_rules_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "xx.csv"
+        write_csv(make_dataset(2500), path)  # three parse blocks
+        calls = _count_record_checks(monkeypatch)
+        assert len(load_csv(path, country_id="XX")) == 2500
+        assert calls == [2500]
+
     def test_three_row_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(

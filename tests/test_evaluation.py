@@ -339,3 +339,8 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(DataError):
             suite_configs("bogus", {})
+
+    def test_built_in_worlds_leave_the_inert_field_at_its_default(self):
+        worlds = (default_world_config, evaluation.two_country_world_config,
+                  evaluation.multi_source_world_config, evaluation.ablation_world_config)
+        assert [world().n_shared_patterns for world in worlds] == [0, 0, 0, 0]
