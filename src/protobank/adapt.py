@@ -79,7 +79,7 @@ class FrozenBank:
     def __init__(self, matrix, d: int):
         rows = np.asarray(matrix, dtype=np.float64)
         if rows.ndim != 2:
-            raise ShapeError(f"a memory bank must be an (M, d) matrix, got shape {rows.shape}")
+            raise DataError(f"a memory bank must be an (M, d) matrix, got shape {rows.shape}")
         if rows.shape[0] < 1:
             raise DataError("memory bank is empty")
         if rows.shape[1] != d:
@@ -217,7 +217,7 @@ def _init_model(
         enc.reinit_head(rng)
     else:
         enc = EncoderParams.from_split(rng, target_train, cfg.encoder)
-    use_bank = cfg.use_memory and memory  # None or empty: no memory
+    use_bank = cfg.use_memory and memory is not None
     bank = FrozenBank(memory.matrix(), enc.config.d) if use_bank else None
     return AdaptParams.init(enc, rng, bank, cfg.use_calibration)
 
@@ -314,7 +314,7 @@ def save_adapt(params: AdaptParams) -> bytes:
 def load_model(data: bytes) -> EncoderParams | AdaptParams:
     """The encoder or target model a bundle describes; FormatError unless its
     tensors are exactly the ones `EncoderParams.init` (and `AdaptParams.init`)
-    make for it, plus at most one (M, d) memory bank."""
+    make for it, plus at most one memory bank, which `FrozenBank` checks."""
     meta, tensors = read_envelope(data)
     kind = meta.get("kind")
     if kind == "encoder":
@@ -325,8 +325,6 @@ def load_model(data: bytes) -> EncoderParams | AdaptParams:
     adapt_tensors = {k[len("adapt.") :]: v for k, v in tensors.items() if k.startswith("adapt.")}
     enc = encoder_from_meta(meta, {k: v for k, v in tensors.items() if not k.startswith("adapt.")})
     check_tensors(adapt_tensors, _adapt_specs(enc.config.d), "adaptation")
-    if bank is not None and (bank.ndim != 2 or bank.shape[0] < 1 or bank.shape[1] != enc.config.d):
-        raise FormatError(f"memory bank of shape {bank.shape} does not fit width {enc.config.d}")
     use_calibration = meta.get("use_calibration")
     if type(use_calibration) is not bool:
         raise FormatError(f"use_calibration must be a boolean, got {use_calibration!r}")

@@ -86,8 +86,9 @@ class Records:
     """Read-only columns of declarations, in dataset order.
 
     A slice, boolean mask or index array selects rows as Records (a slice
-    shares the columns); `+` concatenates; iteration gives `Row`s, built on
-    demand. The pools may hold values that no selected row uses.
+    shares the columns); `+` concatenates, merging the pools; `==` is
+    identity; iteration gives `Row`s, built on demand. The pools may hold
+    values that no selected row uses.
     """
 
     __slots__ = (*_COLUMNS, "hs6_pool", "country_pool")
@@ -116,30 +117,18 @@ class Records:
                 labels = (None, None) if label < 0 else (label == 1, revenue)
                 yield Row(rid, Date.fromordinal(day), q, w, hs6[h], countries[c], v, t, *labels)
 
-    def _aligned(self, other: "Records") -> tuple[dict, tuple, tuple]:
-        """`other`'s columns with their codes recoded into pools that extend
-        these Records' pools, and those two pools."""
+    def __add__(self, other: "Records") -> "Records":
+        """These rows, then `other`'s with their codes recoded into pools that
+        extend these Records' pools."""
+        if not isinstance(other, Records):
+            return NotImplemented
         tail = {name: getattr(other, name) for name in _COLUMNS}
         hs6_pool, tail["hs6"] = _merge(self.hs6_pool, other.hs6_pool, other.hs6)
         country_pool, tail["country_code"] = _merge(
             self.country_pool, other.country_pool, other.country_code
         )
-        return tail, hs6_pool, country_pool
-
-    def __add__(self, other: "Records") -> "Records":
-        if not isinstance(other, Records):
-            return NotImplemented
-        tail, *pools = self._aligned(other)
         columns = {name: np.concatenate((getattr(self, name), tail[name])) for name in _COLUMNS}
-        return Records(columns, *pools)
-
-    def __eq__(self, other) -> bool:
-        """Equal when every column holds the same values in the same order,
-        `hs6` and `country_code` compared as their pooled strings."""
-        if not isinstance(other, Records):
-            return NotImplemented
-        tail = self._aligned(other)[0]
-        return all(np.array_equal(getattr(self, name), tail[name]) for name in _COLUMNS)
+        return Records(columns, hs6_pool, country_pool)
 
     def relabeled(self, illicit: np.ndarray) -> "Records":
         """These rows with visible labels `illicit` (-1 hides one, and its

@@ -472,7 +472,7 @@ def test_criterion_12_determinism(tmp_path):
     world_cfg = parse_world_config(TINY_WORLD_CFG)
     world_a = generate_world(world_cfg)
     world_b = generate_world(world_cfg)
-    stage_ok = all(world_a[c].records == world_b[c].records for c in world_a)
+    stage_ok = all(list(world_a[c].records) == list(world_b[c].records) for c in world_a)
 
     parts = split(world_a["AA"], SplitSpec())
     pre_cfg = PretrainConfig(epochs=3, seed=1, encoder=EncoderConfig(k=4, d=8, n_kernels=2))

@@ -22,7 +22,7 @@ from protobank.adapt import (
     target_forward,
 )
 from protobank.bank import assemble
-from protobank.container import PrototypeSet
+from protobank.container import MemoryBank, PrototypeSet
 from protobank.declarations import SplitSpec, split
 from protobank.encoder import EncoderConfig, EncoderParams, batch_inputs, save_encoder
 from protobank.errors import DataError, NumericError, ShapeError
@@ -92,10 +92,10 @@ class TestMemoryAttend:
             FrozenBank(np.ones((4, 5)), 3)
         with pytest.raises(ShapeError):
             memory_attend(np.ones((2, 3)), FrozenBank(np.ones((4, 5)), 5))
-        # a bank that is not a matrix is a shape fault, not an empty bank
-        with pytest.raises(ShapeError, match=r"\(3,\)"):
+        # a bank that is not a matrix is bad data, and the message names its shape
+        with pytest.raises(DataError, match=r"\(3,\)"):
             FrozenBank(np.ones(3), 3)
-        with pytest.raises(ShapeError, match=r"\(1, 4, 3\)"):
+        with pytest.raises(DataError, match=r"\(1, 4, 3\)"):
             FrozenBank(np.ones((1, 4, 3)), 3)
 
 
@@ -337,6 +337,12 @@ class TestFinetune:
         parts = self._parts()
         with pytest.raises(DataError, match="bank dimension 5 != representation width 8"):
             finetune(parts["train"], parts["valid"], small_bank(dim=5), None, SMALL_FT)
+
+    def test_empty_bank_is_refused(self):
+        # None is the one way to say "no memory"; an empty bank is bad data
+        parts = self._parts()
+        with pytest.raises(DataError, match="memory bank is empty"):
+            finetune(parts["train"], parts["valid"], MemoryBank(), None, SMALL_FT)
 
     def test_init_from_source_reinitializes_head(self):
         parts = self._parts()

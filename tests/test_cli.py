@@ -112,7 +112,7 @@ class TestWorldConfig:
     def test_n_shared_patterns_is_inert(self):
         cfg = parse_world_config(WORLD_CFG)
         a, b = (generate_world(dataclasses.replace(cfg, n_shared_patterns=n)) for n in (0, 1))
-        assert a.keys() == b.keys() and all(a[k].records == b[k].records for k in a)
+        assert a.keys() == b.keys() and all(list(a[k].records) == list(b[k].records) for k in a)
 
 
 class TestGen:
@@ -312,11 +312,12 @@ class TestExitCodes:
         [
             ((("AA", 32), ("CC", 16)), "dimension mismatch"),
             ((("AA", 32), ("AA", 32)), "duplicate source_id"),
+            ((), "memory bank is empty"),  # refused, not read as "no memory"
         ],
-        ids=["mixed-dim", "duplicate-id"],
+        ids=["mixed-dim", "duplicate-id", "empty"],
     )
     def test_bad_bank_file_is_data_error(self, world_dir, tmp_path, capsys, sets, message):
-        # built by hand: a MemoryBank holding these sets cannot be constructed
+        # built by hand: a MemoryBank holding the first two cannot be constructed
         body = b"PROTOMEM" + struct.pack("<II", 1, len(sets))
         for sid, dim in sets:
             blob = serialize(PrototypeSet(sid, dim, np.ones((1, dim)), np.zeros((1, dim))))

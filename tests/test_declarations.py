@@ -169,8 +169,8 @@ class TestCsv:
         path = tmp_path / "xx.csv"
         write_csv(ds, path)
         again = load_csv(path, country_id="XX")
-        assert again.records == ds.records
-        assert again.sealed == ds.sealed
+        assert list(again.records) == list(ds.records)
+        assert list(again.sealed) == list(ds.sealed)
 
     def test_load_runs_the_record_rules_once(self, tmp_path, monkeypatch):
         path = tmp_path / "xx.csv"
@@ -279,9 +279,18 @@ _ROWS = [make_record(i, day=i, illicit=i == 2, revenue=4.0 * (i == 2), hs6=h, cc
     ids=["same", "reordered-pools", "shorter", "one-hs6", "hidden-label"],
 )
 def test_records_compare_by_value(other, equal):
+    # `==` on Records is identity; their rows hold the pooled strings as values
     records = records_of(_ROWS)
-    assert (records == other(_ROWS)) is equal
-    assert (other(_ROWS) == records) is equal
+    assert (list(records) == list(other(_ROWS))) is equal
+
+
+def test_concatenation_merges_pools():
+    head, tail = records_of(_ROWS[:2]), records_of(_ROWS[:1:-1])  # pools in another order
+    both = head + tail
+    assert list(both) == [*_ROWS[:2], *_ROWS[:1:-1]]
+    assert both.hs6_pool == ("100001", "200002", "300003")
+    assert both.country_pool == ("US", "DE", "CN")
+    assert list(head + head[:0]) == list(head)
 
 
 _HS6S = ("100001", "200002", "345678", "999999")
@@ -554,7 +563,7 @@ class TestSplit:
         ds = self._spread(90)
         a = split(ds, SplitSpec())
         b = split(ds, SplitSpec())
-        assert all(a[k].records == b[k].records for k in a)
+        assert all(list(a[k].records) == list(b[k].records) for k in a)
 
 
 class TestMaskLabels:
@@ -571,7 +580,7 @@ class TestMaskLabels:
         ds = make_dataset(50, n_days=20)
         a = mask_labels(ds, 0.2, 7)
         b = mask_labels(ds, 0.2, 7)
-        assert a.records == b.records
+        assert list(a.records) == list(b.records)
 
     def test_features_untouched_sealed_kept(self):
         ds = make_dataset(30, n_days=15)
@@ -580,7 +589,7 @@ class TestMaskLabels:
             assert (before.id, before.date, before.quantity, before.hs6) == (
                 after.id, after.date, after.quantity, after.hs6,
             )
-        assert masked.sealed == ds.sealed
+        assert list(masked.sealed) == list(ds.sealed)
 
     def test_shares_sealed(self):
         ds = make_dataset(40, n_days=20)
@@ -597,7 +606,7 @@ class TestMaskLabels:
         # a subset's truth comes from the sealed columns, not the visible ones
         keep = np.arange(len(ds)) % 2 == 0
         part = masked.subset(keep)
-        assert part.sealed == ds.records[keep]
+        assert list(part.sealed) == list(ds.records[keep])
         assert not part.records.revenue[part.records.illicit < 0].any()
 
     def test_keeps_both_classes_when_budget_allows(self):
@@ -765,7 +774,7 @@ class TestRecordMemory:
         generated, path = generated_and_loaded
         loaded = load_csv(path).records
         assert loaded.hs6_pool != generated.records.hs6_pool  # first use, not generation order
-        assert loaded == generated.records
+        assert list(loaded) == list(generated.records)
 
 
 class TestGenerateWorld:
@@ -784,7 +793,7 @@ class TestGenerateWorld:
         w1 = generate_world(self.CONFIG)
         w2 = generate_world(self.CONFIG)
         for cid in w1:
-            assert w1[cid].records == w2[cid].records
+            assert list(w1[cid].records) == list(w2[cid].records)
 
     def test_illicit_rate_within_band(self):
         cfg = SyntheticWorldConfig(
