@@ -4,8 +4,10 @@ Per-class centroids of the fused representations are the only artifact a
 source country ships: they carry no record-level fields, and their count
 is clamped to the class cardinality. The exchange service is a small
 length-prefixed TCP protocol over the binary container format; an upload
-is decoded, which checks it, before it is stored, and it is written
-atomically, so a reader always sees a complete, valid prototype set.
+is decoded, which checks it, before it is stored. The server loads its
+directory when it starts and answers GET and LIST from memory; a PUT is
+written to disk first (temp file, then rename) and then replaces the set in
+memory, so a reader always sees a complete, valid prototype set.
 
 Service framing (little-endian): request = u32 length | u8 opcode | body,
 response = u32 length | u8 status | body. Opcodes: PUT=1 (body is a
@@ -32,6 +34,7 @@ import socket
 import socketserver
 import struct
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,23 +254,46 @@ def random_bank(dim: int, n_rows: int, seed: int, source_id: str = "random") -> 
 
 
 class BankStore:
-    """Filesystem store; PUT is write-temp-then-rename so reads never tear."""
+    """Prototype sets held in memory, each persisted as `<source_id>.pbnk`.
+
+    Construction loads every stored set once; GET and LIST answer from
+    memory and open no file. A PUT is decoded (checked), written to a temp
+    file and renamed over the set's file before memory takes it, so the
+    directory never holds a torn set. Every stored set stays in RAM, about
+    256 KB per 1000 x 32 set, and a file that another process adds to the
+    directory is served only after a restart.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()  # a rename and its memory update are one step
+        self._sets: dict[str, tuple[bytes, int]] = {}  # source_id -> (container, created_at)
+        # a file that cannot be read, is not a prototype set or is not named
+        # after its source id is left out, so it does not hide the others
+        for path in self.root.glob("*.pbnk"):
+            try:
+                data = path.read_bytes()
+                ps = deserialize(data)
+            except (FormatError, DataError, OSError):
+                continue
+            if isinstance(ps, PrototypeSet) and path.name == f"{ps.source_id}.pbnk":
+                self._sets[ps.source_id] = (data, ps.created_at)
 
-    def put(self, data: bytes) -> str:
+    def put(self, data) -> str:
         ps = deserialize(data)  # reject malformed uploads before touching disk
         if not isinstance(ps, PrototypeSet):
             raise DataError("only prototype sets can be stored")
         sid = check_id("source_id", ps.source_id)
-        # no .pbnk suffix, so list() never sees an upload in flight
+        blob = bytes(data)  # `data` may be a view of the caller's receive buffer
+        # no .pbnk suffix, so a restart never loads an upload in flight
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, self.root / f"{sid}.pbnk")
+                fh.write(blob)
+            with self._lock:
+                os.replace(tmp, self.root / f"{sid}.pbnk")
+                self._sets[sid] = (blob, ps.created_at)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -276,25 +302,15 @@ class BankStore:
 
     def get(self, source_id: str) -> bytes:
         try:
-            return (self.root / f"{check_id('source_id', source_id)}.pbnk").read_bytes()
-        except FileNotFoundError:
+            return self._sets[check_id("source_id", source_id)][0]
+        except KeyError:
             raise DataError(f"unknown source_id {source_id!r}") from None
 
     def list(self) -> list[tuple[str, int]]:
-        """(source_id, created_at) of every readable stored set.
-
-        A file that cannot be read or decoded as a prototype set is left
-        out, so one corrupt or foreign file does not hide the others.
-        """
-        out = []
-        for path in sorted(self.root.glob("*.pbnk")):
-            try:
-                ps = deserialize(path.read_bytes())
-            except (FormatError, DataError, OSError):
-                continue
-            if isinstance(ps, PrototypeSet):
-                out.append((ps.source_id, ps.created_at))
-        return out
+        """(source_id, created_at) of every stored set, in file-name order."""
+        with self._lock:
+            entries = [(sid, created_at) for sid, (_, created_at) in self._sets.items()]
+        return sorted(entries, key=lambda e: f"{e[0]}.pbnk")
 
 
 # ---------------------------------------------------------------------------

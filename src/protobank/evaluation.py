@@ -411,6 +411,8 @@ def suite_configs(
     """Scenario grids for the six experiment families."""
     if suite not in SUITES:
         raise DataError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if suite not in ("single", "multi") and len(world) < 2:
+        raise DataError(f"suite {suite} needs at least 2 countries, the world has {len(world)}")
     ids = sorted(world)
     by_size = _by_size(world)
     out: list[ScenarioConfig] = []

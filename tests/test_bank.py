@@ -1,6 +1,10 @@
+import builtins
+import io
 import os
+import pathlib
 import socket
 import struct
+import sys
 import tempfile
 import threading
 import time
@@ -437,6 +441,22 @@ class TestBankService:
             client.put(replacement)
             assert client.get(["AA"]) == [replacement]
 
+    def test_a_new_server_serves_what_an_earlier_one_stored(self, server):
+        blobs = {sid: serialize(self._proto(sid, seed=j)) for j, sid in enumerate(("BB", "AA"))}
+        with BankClient(server.address) as client:
+            for blob in blobs.values():
+                client.put(blob)
+            listed = client.list()
+        again = BankServer(server.store.root)
+        serve_in_thread(again)
+        try:
+            with BankClient(again.address) as client:
+                assert client.list() == listed == [("AA", 42), ("BB", 42)]
+                assert client.get(["BB", "AA"]) == [blobs["BB"], blobs["AA"]]
+        finally:
+            again.shutdown()
+            again.server_close()
+
     def test_malformed_upload_rejected_before_storage(self, server, tmp_path):
         with BankClient(server.address) as client:
             with pytest.raises(DataError):
@@ -620,15 +640,114 @@ class TestBankStore:
         assert store.get("AA") == blob
 
     def test_list_skips_unreadable_files(self, tmp_path):
-        store = BankStore(tmp_path)
         rng = np.random.default_rng(0)
         ps = PrototypeSet("AA", 3, rng.normal(size=(1, 3)), rng.normal(size=(1, 3)), 7)
-        store.put(serialize(ps))
+        BankStore(tmp_path).put(serialize(ps))
         (tmp_path / "ZZ.pbnk").write_bytes(b"ZZZZ")  # truncated stream
         (tmp_path / "BB.pbnk").write_bytes(serialize(MemoryBank((ps,))))  # not a set
         (tmp_path / "CC.pbnk").mkdir()  # unreadable: a directory
+        (tmp_path / "XX.pbnk").write_bytes(serialize(ps))  # holds AA: not named after its id
+        store = BankStore(tmp_path)
         assert store.list() == [("AA", 7)]
         assert store.get("AA") == serialize(ps)
+        with pytest.raises(DataError, match="unknown source_id"):
+            store.get("XX")
+
+    @staticmethod
+    def _blob(sid, seed=0, created_at=0):
+        rng = np.random.default_rng(seed)
+        return serialize(PrototypeSet(sid, 3, rng.normal(size=(2, 3)), rng.normal(size=(1, 3)),
+                                      created_at))
+
+    def test_a_new_store_serves_what_an_earlier_one_wrote(self, tmp_path):
+        first = BankStore(tmp_path)
+        for j, sid in enumerate(("BB", "AA", "A-B", "A")):
+            first.put(self._blob(sid, seed=j, created_at=10 + j))
+        first.put(self._blob("AA", seed=9, created_at=99))  # a replaced set
+        again = BankStore(tmp_path)
+        assert again.list() == first.list()
+        for sid, _ in first.list():
+            assert again.get(sid) == first.get(sid)
+        assert again.get("AA") == self._blob("AA", seed=9, created_at=99)
+
+    def test_list_is_in_file_name_order(self, tmp_path):
+        store = BankStore(tmp_path)
+        for j, sid in enumerate(("A", "A-B", "B")):
+            store.put(self._blob(sid, seed=j, created_at=j))
+        # "A-B.pbnk" sorts before "A.pbnk", although "A" sorts before "A-B"
+        assert store.list() == [("A-B", 1), ("A", 0), ("B", 2)]
+        assert [s for s, _ in store.list()] == [p.stem for p in sorted(tmp_path.glob("*.pbnk"))]
+        assert BankStore(tmp_path).list() == store.list()
+
+    def test_get_and_list_open_no_file(self, tmp_path, monkeypatch):
+        blobs = {sid: self._blob(sid, seed=j) for j, sid in enumerate(("AA", "BB"))}
+        for blob in blobs.values():
+            BankStore(tmp_path).put(blob)
+        store = BankStore(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was opened")
+
+        for owner, name in ((pathlib.Path, "read_bytes"), (builtins, "open"), (io, "open"),
+                            (os, "open")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert store.list() == [("AA", 0), ("BB", 0)]
+        assert [store.get(sid) for sid in blobs] == list(blobs.values())
+        reply = _Handler._dispatch(store, OP_GET, _ids_body(2, [b"BB", b"AA"]))
+        assert b"".join(reply) == _ids_body(2, [blobs["BB"], blobs["AA"]])
+
+    def test_concurrent_puts_of_one_id_leave_memory_and_disk_equal(self, tmp_path):
+        store = BankStore(tmp_path)
+        versions = [self._blob("AA", seed=v, created_at=v) for v in range(4)]
+        errors = []
+
+        def putter(k):
+            try:
+                for i in range(40):
+                    store.put(memoryview(versions[(k + i) % len(versions)]))
+            except Exception as e:  # noqa: BLE001 - collected for the main thread
+                errors.append(e)
+
+        threads = [threading.Thread(target=putter, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, between rename and memory update too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        on_disk = (tmp_path / "AA.pbnk").read_bytes()
+        assert store.get("AA") == on_disk == BankStore(tmp_path).get("AA")
+        assert store.list() == [("AA", versions.index(on_disk))]
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+
+    def test_a_put_renames_and_updates_memory_in_one_step(self, tmp_path, monkeypatch):
+        store = BankStore(tmp_path)
+        first, second = (self._blob("AA", seed=v, created_at=v) for v in (1, 2))
+        renamed, second_done = threading.Event(), threading.Event()
+        replace = os.replace
+
+        def first_replace_stalls(src, dst):
+            replace(src, dst)
+            if not renamed.is_set():
+                renamed.set()
+                # the second PUT runs here in full unless the store locks it out
+                second_done.wait(timeout=0.5)
+
+        monkeypatch.setattr(os, "replace", first_replace_stalls)
+        putter = threading.Thread(target=store.put, args=(first,))
+        putter.start()
+        assert renamed.wait(timeout=10)
+        store.put(second)
+        second_done.set()
+        putter.join(timeout=10)
+        assert not putter.is_alive()
+        assert store.get("AA") == (tmp_path / "AA.pbnk").read_bytes() == second
+        assert BankStore(tmp_path).get("AA") == second
 
 
 def _ids_body(count, ids):

@@ -484,6 +484,18 @@ class TestExitCodes:
         assert "data error: seeds must be a nonempty tuple" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["logsize", "ablation", "protocount", "randommem"])
+    def test_cross_country_suite_on_one_country_is_data_error(self, tmp_path, capsys, suite):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("".join(line + "\n" for line in WORLD_CFG.splitlines()
+                               if not line.startswith("country.BB.")))
+        out = tmp_path / "reports"
+        assert main(["experiment", "--suite", suite, "--config", str(cfg), "--seeds", "1",
+                     "--out", str(out)]) == 2
+        assert (f"data error: suite {suite} needs at least 2 countries, the world has 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_empty_validation_window_is_data_error(self, world_dir, tmp_path, capsys, command):
         lines = (world_dir / "data" / "AA.csv").read_text().splitlines()

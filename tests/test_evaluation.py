@@ -340,6 +340,22 @@ class TestSuites:
         with pytest.raises(DataError):
             suite_configs("bogus", {})
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_suite_on_small_worlds(self, n):
+        countries = tuple(CountrySpec(f"C{i}", 1000 + 100 * i, 60, 0.1, (0,)) for i in range(n))
+        world = generate_world(SyntheticWorldConfig(seed=0, countries=countries))
+        for suite in evaluation.SUITES:
+            if n == 1 and suite not in ("single", "multi"):
+                with pytest.raises(DataError, match=f"^suite {suite} needs at least 2 countries, "
+                                                    "the world has 1$"):
+                    suite_configs(suite, world, seeds=(0,))
+                continue
+            configs = suite_configs(suite, world, seeds=(0,))
+            assert configs
+            for cfg in configs:
+                assert cfg.target_id in world
+                assert set(cfg.source_ids) <= set(world) - {cfg.target_id}
+
     def test_built_in_worlds_leave_the_inert_field_at_its_default(self):
         worlds = (default_world_config, evaluation.two_country_world_config,
                   evaluation.multi_source_world_config, evaluation.ablation_world_config)

@@ -34,6 +34,11 @@ churn: memory the C allocator gave back to the system and touched again.
 Under `bank_store` it gives the median milliseconds of `STORE_CALLS`
 in-process `BankStore` calls of each of `put` (a stored set again), `get`
 (one set) and `list`, in a store of 8 prototype sets of 1000 × 32 rows.
+Under `serve_bank` it starts `protobank serve-bank` in a subprocess over
+the same 8 stored sets and sends `SERVE_GETS` GETs of two sets each from one
+client, after one GET of every set: the client's median milliseconds per
+GET, and the server's user and system microseconds and minor page faults per
+GET, read from `/proc/<pid>/stat` (`null` where there is no `/proc`).
 
 `--tree` names the checkout whose `src/` is imported (default: this one), so
 the same script measures two trees. BLAS runs on one thread. `peak_rss_mib`
@@ -51,7 +56,9 @@ import argparse  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import re  # noqa: E402
 import resource  # noqa: E402
+import signal  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -62,6 +69,7 @@ from pathlib import Path  # noqa: E402
 
 SEED = 3  # seeds the world, the mask, the encoder, k-means and the stored sets
 STORE_CALLS = 50
+SERVE_GETS = 500
 ATTEND_RECORDS = 2048
 ATTEND_BANK_ROWS = (500, 2000, 10_000)
 
@@ -168,7 +176,8 @@ def median_ms(fn) -> float:
     return round(statistics.median(times) * 1e3, 3)
 
 
-def run_bank_store(tmp: Path) -> dict:
+def stored_sets(root: Path) -> list[bytes]:
+    """Write 8 prototype sets of 1000 × 32 rows, S0..S7, to a store at `root`."""
     import numpy as np
 
     from protobank.bank import BankStore
@@ -177,12 +186,70 @@ def run_bank_store(tmp: Path) -> dict:
     rng = np.random.default_rng(SEED)
     blobs = [serialize(PrototypeSet(f"S{i}", 32, rng.normal(size=(500, 32)),
                                     rng.normal(size=(500, 32)))) for i in range(8)]
-    store = BankStore(tmp / "store")
+    store = BankStore(root)
     for blob in blobs:
         store.put(blob)
+    return blobs
+
+
+def run_bank_store(tmp: Path) -> dict:
+    from protobank.bank import BankStore
+
+    blobs = stored_sets(tmp / "store")
+    store = BankStore(tmp / "store")
     return {"put_ms": median_ms(lambda: store.put(blobs[0])),
             "get_ms": median_ms(lambda: store.get("S0")),
             "list_ms": median_ms(store.list), "sets": len(blobs), "bytes_per_set": len(blobs[0])}
+
+
+def proc_cost(pid: int) -> tuple[int, float, float] | None:
+    """(minor faults, user seconds, system seconds) of process `pid`, or None without /proc."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = text[text.rindex(")") + 2 :].split()  # from field 3, the state
+    tick = os.sysconf("SC_CLK_TCK")
+    return int(fields[7]), int(fields[11]) / tick, int(fields[12]) / tick
+
+
+def run_serve_bank(tree: Path, tmp: Path) -> dict:
+    from protobank.bank import BankClient
+
+    n_sets = len(stored_sets(tmp / "served"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "protobank.cli", "serve-bank", "--dir", str(tmp / "served"),
+         "--listen", "127.0.0.1:0"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(tree.resolve() / "src")},
+    )
+    try:
+        match = None
+        for line in proc.stderr:
+            match = re.search(r"^serving bank store .* on (.+):(\d+)$", line.strip())
+            if match:
+                break
+        if match is None:
+            raise RuntimeError("serve-bank exited before serving")
+        pairs = [[f"S{i % n_sets}", f"S{(i + 1) % n_sets}"] for i in range(SERVE_GETS)]
+        times = []
+        with BankClient((match.group(1), int(match.group(2)))) as client:
+            client.get([f"S{i}" for i in range(n_sets)])
+            before = proc_cost(proc.pid)
+            for ids in pairs:
+                t0 = time.perf_counter()
+                client.get(ids)
+                times.append(time.perf_counter() - t0)
+            after = proc_cost(proc.pid)
+    finally:
+        proc.send_signal(signal.SIGINT)  # serve-bank shuts down cleanly on SIGINT
+        proc.communicate(timeout=30)
+    per_get = None if before is None else [(b - a) / SERVE_GETS for a, b in zip(before, after)]
+    return {"gets": SERVE_GETS, "sets_per_get": 2,
+            "client_get_ms": round(statistics.median(times) * 1e3, 3),
+            "server_minflt_per_get": None if per_get is None else round(per_get[0], 2),
+            "server_user_us_per_get": None if per_get is None else round(per_get[1] * 1e6, 1),
+            "server_sys_us_per_get": None if per_get is None else round(per_get[2] * 1e6, 1)}
 
 
 def main() -> int:
@@ -208,6 +275,7 @@ def main() -> int:
         for rows in args.rows:
             result["rows"][str(rows)] = run(rows, Path(tmp))
         result["bank_store"] = run_bank_store(Path(tmp))
+        result["serve_bank"] = run_serve_bank(args.tree, Path(tmp))
     result["pretrain"] = run_pretrain()
     result["kmeans"] = run_kmeans()
     result["attend"] = run_attend()
