@@ -140,7 +140,7 @@ def _lloyd(
     k: int,
     rng: np.random.Generator,
 ) -> KMeansResult:
-    n = points.shape[0]
+    n, d = points.shape
     centroids = _seed_centroids(points, twice_points, sq_norms, k, rng)
     # distances to the current centroids: they give the assignment and, after
     # the update, both the objective and the next iteration's assignment
@@ -159,8 +159,11 @@ def _lloyd(
             counts[assign[far]] -= 1
             assign[far] = empty
             counts[empty] = 1
-        new_centroids = np.zeros_like(centroids)
-        np.add.at(new_centroids, assign, points)
+        # per-cluster sums: like np.add.at, each cluster adds its rows in index
+        # order from 0.0, as one weighted bincount over (cluster, column) bins
+        new_centroids = np.bincount(
+            (assign[:, None] * d + np.arange(d)).ravel(), weights=points.ravel(), minlength=k * d
+        ).reshape(k, d)
         new_centroids /= np.bincount(assign, minlength=k)[:, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids

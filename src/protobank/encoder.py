@@ -17,6 +17,10 @@ learned "unknown" row of each embedding table.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -244,22 +248,103 @@ def score_batch(params: EncoderParams, h: Tensor) -> Tensor:
 SCORE_CHUNK = 1024  # records per forward pass when scoring many records
 
 
+def _processes(n_records: int) -> int:
+    """Processes that one scoring call over `n_records` records runs in.
+
+    More than one only where fork and a CPU affinity mask exist, while this
+    process runs one Python thread (a forked child of a threaded process can
+    inherit a lock that another thread holds), and only so many that each
+    process gets at least two SCORE_CHUNK-record chunks to pay for its fork.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_records // (2 * SCORE_CHUNK)))
+
+
 def forward_rows(params: EncoderParams, records, forward, width: int, chunk: int) -> np.ndarray:
     """Rows of `forward(feats, hs6_idx, cty_idx)` over many records, without a graph.
 
     The one scoring loop: records go through `batch_inputs` and `forward` in
-    `chunk`-record slices under `no_grad`, and the slices' outputs are
-    stacked into an (n, width) array. NumericError if a row is not finite: ops
-    do not scan their outputs, and scores and embeddings leave the model here.
+    `chunk`-record slices under `no_grad`, and each slice's output is written
+    into an (n, width) array. A large call splits its chunks into contiguous
+    runs, one per process (`_processes`): this process scores the first run
+    and a forked child each other one. Every chunk runs the same ops on the
+    same shapes, so every row is the same bits as in one process. NumericError
+    if a row is not finite: ops do not scan their outputs, and scores and
+    embeddings leave the model here.
     """
-    out = []
+    n = len(records)
+    rows = np.empty((n, width))
+
+    def run(lo: int, hi: int) -> None:
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            rows[a:b] = forward(*batch_inputs(params, records[a:b])).data
+
+    n_chunks = -(-n // chunk)
+    procs = max(1, min(_processes(n), n_chunks))
+    bounds = [min(n, chunk * (n_chunks * i // procs)) for i in range(procs + 1)]
+    (lo, hi), *others = zip(bounds, bounds[1:])
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in run order
+    received = False
     with nm.no_grad():
-        for lo in range(0, len(records), chunk):
-            out.append(forward(*batch_inputs(params, records[lo : lo + chunk])).data)
-    rows = np.vstack(out) if out else np.zeros((0, width))
+        try:
+            for a, b in others:
+                children.append(_fork_run(run, rows[a:b], a, b, [fd for _, fd in children]))
+            run(lo, hi)
+            for (pid, fd), (a, b) in zip(children, others):
+                _receive(pid, fd, rows[a:b])
+            received = True
+        finally:
+            for pid, fd in children:
+                os.close(fd)
+                if not received:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     if not np.all(np.isfinite(rows)):
         raise NumericError("non-finite model output")
     return rows
+
+
+def _fork_run(run, out: np.ndarray, lo: int, hi: int, inherited: list[int]) -> tuple[int, int]:
+    """(pid, read fd) of a forked child that calls `run(lo, hi)` and sends back
+    through a pipe a 0 byte and the raw bytes of `out`, its rows, or a 1 byte
+    and the pickled exception. The child never returns; it ends with os._exit."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for fd in (r, *inherited):
+                os.close(fd)
+            try:
+                run(lo, hi)
+                _write_all(w, b"\0")
+                _write_all(w, out)
+            except BaseException as e:  # the parent re-raises it; this process ends here
+                _write_all(w, b"\1" + pickle.dumps(e))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _receive(pid: int, fd: int, out: np.ndarray) -> None:
+    """Read a child's rows into `out`, or raise the exception it sent."""
+    head = os.read(fd, 1)
+    if head == b"\1":
+        raise pickle.loads(b"".join(iter(lambda: os.read(fd, 1 << 16), b"")))
+    view, got = memoryview(out).cast("B"), 0
+    if head == b"\0":
+        while got < len(view) and (step := os.readv(fd, [view[got:]])):
+            got += step
+    if got < len(view):
+        raise ChildProcessError(f"scoring process {pid} ended without sending its rows")
 
 
 def embed_matrix(params: EncoderParams, records) -> np.ndarray:

@@ -369,6 +369,16 @@ class TestFinetune:
         without = score_records(model, parts["test"].records)
         assert not np.allclose(with_bank, without)
 
+    def test_scores_follow_bank_content(self):
+        """With the weights fixed, other bank rows of the same shape move the scores."""
+        parts = self._parts()
+        cfg = FinetuneConfig(epochs=2, seed=1, use_memory=True, encoder=SMALL_FT.encoder)
+        model, _ = finetune(parts["train"], parts["valid"], small_bank(8, 6, seed=4), None, cfg)
+        trained = score_records(model, parts["test"].records)
+        model.bank = FrozenBank(small_bank(8, 6, seed=5).matrix(), 8)
+        swapped = score_records(model, parts["test"].records)
+        assert np.abs(swapped - trained).max() > 1e-6
+
     def test_copy_shares_bank_and_context_with_fresh_tensors(self):
         enc = small_params(seed=1, config=EncoderConfig(k=4, d=6, n_kernels=2))
         bank = FrozenBank(small_bank(dim=6).matrix(), 6)

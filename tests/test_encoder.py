@@ -1,5 +1,8 @@
 import functools
 import math
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -383,3 +386,204 @@ class TestBlockedInteraction:
         # a 1024-record chunk in one pass would hold 16 MiB conv2d and relu
         # outputs; in interaction blocks the whole call peaks near 2.8 MiB
         assert peak < 4 * 2**20
+
+
+@functools.lru_cache(maxsize=1)
+def many_records():
+    """20,000 records drawn with replacement from `world_records()`."""
+    records = world_records().records
+    return records[np.random.default_rng(9).integers(0, len(records), 20_000)]
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pids of the children `os.fork` starts from now on, in this test."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_children_or_fds_left(fds_before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if os.path.isdir("/proc/self/fd"):
+        assert sorted(os.listdir("/proc/self/fd")) == fds_before
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+class TestSplitScoring:
+    """A large scoring call split across forked processes gives the bits of one process."""
+
+    SPLIT = 4 * 1024  # the smallest call that two CPUs split: two SCORE_CHUNK chunks each
+
+    def test_split_size(self):
+        from protobank import encoder
+
+        if not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+            pytest.skip("scoring never splits here")
+        cpus = len(os.sched_getaffinity(0))
+        assert encoder._processes(self.SPLIT - 1) == 1
+        assert encoder._processes(self.SPLIT) == min(cpus, 2)
+        assert encoder._processes(20_000) == min(cpus, 9)
+
+    @pytest.mark.parametrize("n", [SPLIT - 1, SPLIT, SPLIT + 1, 20_000])
+    def test_entry_points_match_one_process(self, n, monkeypatch):
+        from protobank import adapt, encoder
+
+        records = many_records()[:n]
+        params = world_params()
+        d = params.config.d
+        models = [
+            adapt.AdaptParams.init(
+                params, np.random.default_rng(1),
+                adapt.FrozenBank(np.random.default_rng(rows).normal(size=(rows, d)), d),
+            )
+            for rows in (197, 2000)
+        ]
+
+        def outputs():
+            return [embed_matrix(params, records), score_records(params, records)] + [
+                adapt.score_records(model, records) for model in models
+            ]
+
+        split = outputs()
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 1)
+        for got, want in zip(split, outputs(), strict=True):
+            assert got.shape == want.shape and got.shape[0] == n
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("procs, chunk", [(2, 1024), (3, 1024), (5, 512), (7, 7)])
+    def test_any_process_count_matches_one(self, procs, chunk, monkeypatch):
+        from protobank import encoder
+
+        records, params = many_records()[:2500], world_params()
+
+        def rows():
+            forward = functools.partial(embed_batch, params)
+            return encoder.forward_rows(params, records, forward, params.config.d, chunk)
+
+        want = rows()
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: procs)
+        assert rows().tobytes() == want.tobytes()
+        assert len(forks) == procs - 1
+
+    def test_fewer_chunks_than_processes(self, monkeypatch):
+        from protobank import encoder
+
+        records, params = many_records()[:1500], world_params()
+        want = embed_matrix(params, records)
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 8)
+        assert embed_matrix(params, records).tobytes() == want.tobytes()
+        assert len(forks) == 1  # two chunks: one for this process, one for a child
+        assert embed_matrix(params, records[:0]).shape == (0, params.config.d)
+
+    def test_no_child_or_fd_left_after_return(self, monkeypatch):
+        from protobank import encoder
+
+        fds = open_fds()
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 3)
+        score_records(world_params(), many_records()[:5000])
+        assert len(forks) == 2
+        assert_no_children_or_fds_left(fds)
+
+    @pytest.mark.parametrize(
+        "error, expect",
+        [(DataError("bad share"), DataError), (KeyboardInterrupt(), KeyboardInterrupt)],
+    )
+    def test_child_error_surfaces_with_type_and_message(self, error, expect, monkeypatch):
+        from protobank import encoder
+
+        parent, params = os.getpid(), world_params()
+
+        def forward(*x):
+            if os.getpid() != parent:
+                raise error
+            return embed_batch(params, *x)
+
+        fds = open_fds()
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 3)
+        with pytest.raises(expect) as raised:
+            encoder.forward_rows(params, many_records()[:5000], forward, params.config.d, 1024)
+        assert type(raised.value) is expect and str(raised.value) == str(error)
+        assert_no_children_or_fds_left(fds)
+
+    @pytest.mark.parametrize("error", [DataError("bad share"), KeyboardInterrupt()])
+    def test_parent_error_kills_and_reaps_children(self, error, monkeypatch):
+        from protobank import encoder
+
+        parent, params = os.getpid(), world_params()
+
+        def forward(*x):
+            if os.getpid() == parent:
+                raise error
+            return embed_batch(params, *x)
+
+        fds = open_fds()
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 3)
+        with pytest.raises(type(error)):
+            encoder.forward_rows(params, many_records()[:5000], forward, params.config.d, 1024)
+        assert len(forks) == 2
+        assert_no_children_or_fds_left(fds)
+
+    @pytest.mark.parametrize("how", ["killed", "unpicklable error"])
+    def test_child_that_sends_no_rows(self, how, monkeypatch):
+        from protobank import encoder
+
+        parent, params = os.getpid(), world_params()
+
+        def forward(*x):
+            if os.getpid() != parent:
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise DataError(lambda: None)  # a lambda does not pickle
+            return embed_batch(params, *x)
+
+        fds = open_fds()
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 2)
+        with pytest.raises(ChildProcessError, match="ended without sending its rows"):
+            encoder.forward_rows(params, many_records()[:3000], forward, params.config.d, 1024)
+        assert_no_children_or_fds_left(fds)
+
+    def test_non_finite_child_rows_raise_in_parent(self, monkeypatch):
+        from protobank import encoder
+        from protobank.errors import NumericError
+
+        parent, params = os.getpid(), world_params()
+
+        def forward(*x):
+            h = embed_batch(params, *x)
+            if os.getpid() != parent:
+                h.data[0, 0] = np.nan
+            return h
+
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 2)
+        with pytest.raises(NumericError, match="non-finite model output"):
+            encoder.forward_rows(params, many_records()[:3000], forward, params.config.d, 1024)
+
+    def test_second_thread_keeps_one_process(self, monkeypatch):
+        from protobank import encoder
+
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            assert encoder._processes(20_000) == 1
+            forks = counted_forks(monkeypatch)
+            score_records(world_params(), many_records()[: self.SPLIT])
+            assert forks == []
+        finally:
+            stop.set()
+            waiter.join()

@@ -12,7 +12,10 @@ from the source model, the same fine-tune over a 2000-row bank, a 3-epoch
 plain fine-tune and a 2-epoch adaptive transfer (AKC) model, and digests
 each model's saved bytes, its scores and its curve. Scores are over the
 target's test split, except the 2000-row bank model's, which are over all
-6000 target records. It then digests the report tree of
+6000 target records. Each seed's `encoder_all` line digests the source
+model's `embed_matrix` and `score_records` over those 6000 records, so every
+scoring entry point is digested at a size that splits across processes. It
+then digests the report tree of
 `protobank experiment --seeds 2` for the `single`, `ablation` and
 `randommem` suites on a 1400-record two-country world. Its first line
 digests every field of every record of the generated target country, and
@@ -125,6 +128,13 @@ def stage_lines(world, seed: int) -> list[str]:
     lines = []
     source, curve = pb.pretrain(src["train"], src["valid"], pb.PretrainConfig(epochs=3, seed=seed))
     lines += model_lines(f"seed{seed} pretrain_scl", source, curve, test)
+    # embeddings and scores of all 6000 target records: a call large enough
+    # to be split across processes on a machine with more than one CPU
+    everything = world["TGT"].records
+    lines.append(
+        f"seed{seed} encoder_all embed_matrix {sha(embed_matrix(source, everything).tobytes())}"
+        f" score_records {sha(score_records(source, everything).tobytes())}"
+    )
     no_scl, curve = pb.pretrain(
         src["train"], src["valid"], pb.PretrainConfig(epochs=3, seed=seed, scl_weight=0.0)
     )

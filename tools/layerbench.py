@@ -30,6 +30,12 @@ seconds (`s`), the minor page faults it took (`minflt`) and its system seconds
 (`sys_s`), both from getrusage, then under tracemalloc for its peak of traced
 memory above what was held before it (`peak_mib`). Faults show allocator
 churn: memory the C allocator gave back to the system and touched again.
+The plain run also gives the user and system seconds of the child
+processes it reaped (`child_user_s`, `child_sys_s`): a large scoring call
+scores part of its records in forked children, whose work the process's own
+figures leave out, as tracemalloc leaves out their memory. `child_maxrss_mib`
+is getrusage's largest resident set of any child reaped so far, so it can
+only grow from stage to stage (the `serve_bank` server is a child too).
 
 Under `bank_store` it gives the median milliseconds of `STORE_CALLS`
 in-process `BankStore` calls of each of `put` (a stored set again), `get`
@@ -75,14 +81,17 @@ ATTEND_BANK_ROWS = (500, 2000, 10_000)
 
 
 def measure(fn) -> tuple[object, dict]:
-    """`fn()` and its wall seconds, minor faults, system seconds and tracemalloc
+    """`fn()` and its wall seconds, minor faults, system seconds, its reaped
+    children's user and system seconds and peak resident set, and tracemalloc
     peak (MiB), from two calls."""
     gc.collect()
     r0 = resource.getrusage(resource.RUSAGE_SELF)
+    c0 = resource.getrusage(resource.RUSAGE_CHILDREN)
     t0 = time.perf_counter()
     fn()
     seconds = time.perf_counter() - t0
     r1 = resource.getrusage(resource.RUSAGE_SELF)
+    c1 = resource.getrusage(resource.RUSAGE_CHILDREN)
     gc.collect()
     tracemalloc.start()
     try:
@@ -92,7 +101,10 @@ def measure(fn) -> tuple[object, dict]:
     finally:
         tracemalloc.stop()
     return out, {"s": round(seconds, 4), "minflt": r1.ru_minflt - r0.ru_minflt,
-                 "sys_s": round(r1.ru_stime - r0.ru_stime, 3), "peak_mib": round(peak / 2**20, 2)}
+                 "sys_s": round(r1.ru_stime - r0.ru_stime, 3), "peak_mib": round(peak / 2**20, 2),
+                 "child_user_s": round(c1.ru_utime - c0.ru_utime, 3),
+                 "child_sys_s": round(c1.ru_stime - c0.ru_stime, 3),
+                 "child_maxrss_mib": round(c1.ru_maxrss / 1024, 1)}
 
 
 def run(rows: int, tmp: Path) -> dict:
