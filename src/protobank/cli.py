@@ -22,6 +22,7 @@ from .declarations import (
     CountrySpec,
     SplitSpec,
     SyntheticWorldConfig,
+    check_id,
     generate_world,
     load_csv,
     mask_labels,
@@ -212,6 +213,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_export_bank(args) -> int:
+    check_id("source id (--country, default the --data path)", args.country or str(args.data))
     params = load_encoder(Path(args.model).read_bytes())
     fraud_like = select_fraud_like(params, _dataset(args), args.fraction)
     proto = extract_prototypes(

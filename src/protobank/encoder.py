@@ -17,8 +17,8 @@ learned "unknown" row of each embedding table.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-import pickle
 import signal
 import threading
 from dataclasses import asdict, dataclass, field, replace
@@ -268,83 +268,55 @@ def forward_rows(params: EncoderParams, records, forward, width: int, chunk: int
     `chunk`-record slices under `no_grad`, and each slice's output is written
     into an (n, width) array. A large call splits its chunks into contiguous
     runs, one per process (`_processes`): this process scores the first run
-    and a forked child each other one. Every chunk runs the same ops on the
-    same shapes, so every row is the same bits as in one process. NumericError
-    if a row is not finite: ops do not scan their outputs, and scores and
+    and a forked child each other one, writing into a shared mapping and
+    reporting only its exit status. A run whose child did not exit 0 is
+    scored again here, so an error in it is raised with its own type and a
+    killed child costs only time. Every chunk runs the same ops on the same
+    shapes, so every row is the same bits as in one process. NumericError if
+    a row is not finite: ops do not scan their outputs, and scores and
     embeddings leave the model here.
     """
     n = len(records)
-    rows = np.empty((n, width))
+    n_chunks = -(-n // chunk)
+    procs = max(1, min(_processes(n), n_chunks))
+    bounds = [min(n, chunk * (n_chunks * i // procs)) for i in range(procs + 1)]
+    (lo, hi), *others = zip(bounds, bounds[1:])
+    if others:
+        rows = np.frombuffer(mmap.mmap(-1, 8 * n * width)).reshape(n, width)
+    else:
+        rows = np.empty((n, width))
 
     def run(lo: int, hi: int) -> None:
         for a in range(lo, hi, chunk):
             b = min(a + chunk, hi)
             rows[a:b] = forward(*batch_inputs(params, records[a:b])).data
 
-    n_chunks = -(-n // chunk)
-    procs = max(1, min(_processes(n), n_chunks))
-    bounds = [min(n, chunk * (n_chunks * i // procs)) for i in range(procs + 1)]
-    (lo, hi), *others = zip(bounds, bounds[1:])
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe), in run order
-    received = False
+    pending: list[int] = []  # pids of children not yet reaped, in run order
     with nm.no_grad():
         try:
             for a, b in others:
-                children.append(_fork_run(run, rows[a:b], a, b, [fd for _, fd in children]))
+                pid = os.fork()
+                if pid == 0:  # the child never returns: its status is all it reports
+                    try:
+                        run(a, b)
+                    except BaseException:  # the caller scores the run again and raises
+                        os._exit(1)
+                    os._exit(0)
+                pending.append(pid)
             run(lo, hi)
-            for (pid, fd), (a, b) in zip(children, others):
-                _receive(pid, fd, rows[a:b])
-            received = True
+            for a, b in others:
+                failed = os.waitpid(pending[0], 0)[1]
+                del pending[0]
+                if failed:
+                    run(a, b)
         finally:
-            for pid, fd in children:
-                os.close(fd)
-                if not received:
-                    os.kill(pid, signal.SIGKILL)
+            for pid in pending:
+                os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     if not np.all(np.isfinite(rows)):
         raise NumericError("non-finite model output")
-    return rows
-
-
-def _fork_run(run, out: np.ndarray, lo: int, hi: int, inherited: list[int]) -> tuple[int, int]:
-    """(pid, read fd) of a forked child that calls `run(lo, hi)` and sends back
-    through a pipe a 0 byte and the raw bytes of `out`, its rows, or a 1 byte
-    and the pickled exception. The child never returns; it ends with os._exit."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            for fd in (r, *inherited):
-                os.close(fd)
-            try:
-                run(lo, hi)
-                _write_all(w, b"\0")
-                _write_all(w, out)
-            except BaseException as e:  # the parent re-raises it; this process ends here
-                _write_all(w, b"\1" + pickle.dumps(e))
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, r
-
-
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _receive(pid: int, fd: int, out: np.ndarray) -> None:
-    """Read a child's rows into `out`, or raise the exception it sent."""
-    head = os.read(fd, 1)
-    if head == b"\1":
-        raise pickle.loads(b"".join(iter(lambda: os.read(fd, 1 << 16), b"")))
-    view, got = memoryview(out).cast("B"), 0
-    if head == b"\0":
-        while got < len(view) and (step := os.readv(fd, [view[got:]])):
-            got += step
-    if got < len(view):
-        raise ChildProcessError(f"scoring process {pid} ended without sending its rows")
+    # private rows: a later fork must not share writable memory with this caller
+    return rows.copy() if others else rows
 
 
 def embed_matrix(params: EncoderParams, records) -> np.ndarray:

@@ -246,6 +246,21 @@ class TestCalibrate:
         assert np.array_equal(gated1.data, gated2.data)
         assert np.array_equal(gated1.data, h_bar_a.data)
 
+    @pytest.mark.parametrize("bias, gate", [(-1e3, 0.0), (0.0, 0.5), (1e3, 1.0)])
+    def test_gate_scales_the_attended_summary(self, bias, gate):
+        # a gate pinned shut leaves h_bar independent of h_ts
+        params = small_adapt()
+        params.tensors["gate_w2"].data[...] = 0.0
+        params.tensors["gate_b2"].data[...] = bias
+        rng = np.random.default_rng(4)
+        h_t, h_ts = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6)))
+        h_bar, got = calibrate(params, h_t, h_ts)
+        assert np.all(got.data == gate)
+        t = params.tensors
+        fused_in = np.concatenate([gate * h_ts.data, h_t.data], axis=1)
+        want = fused_in @ t["fuse_w"].data + t["fuse_b"].data
+        assert np.allclose(h_bar.data, want, rtol=0, atol=1e-12)
+
     def test_gradient_through_calibrate(self):
         params = small_adapt(seed=2)
         rng = np.random.default_rng(3)

@@ -225,6 +225,15 @@ class TestExitCodes:
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 1
 
+    def test_export_bank_refuses_a_source_id_no_store_serves(self, tmp_path, capsys):
+        # without --country the source id is the CSV path; its "/" is not a stored set's name
+        out = tmp_path / "AA.pbnk"
+        argv = ["export-bank", "--model", str(tmp_path / "missing.pbm"),
+                "--data", str(tmp_path / "AA.csv"), "--out", str(out)]
+        assert main(argv) == 2
+        assert "--country" in capsys.readouterr().err  # refused before the model is read
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "old, new",
         [

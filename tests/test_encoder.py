@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -498,25 +499,58 @@ class TestSplitScoring:
         assert len(forks) == 2
         assert_no_children_or_fds_left(fds)
 
-    @pytest.mark.parametrize(
-        "error, expect",
-        [(DataError("bad share"), DataError), (KeyboardInterrupt(), KeyboardInterrupt)],
-    )
-    def test_child_error_surfaces_with_type_and_message(self, error, expect, monkeypatch):
+    def test_child_record_error_surfaces_with_type_and_message(self, monkeypatch):
         from protobank import encoder
 
-        parent, params = os.getpid(), world_params()
+        records, params = many_records()[:5000], world_params()
+        ids = records.ids
+        # a record that only the last of three runs, (3072, 5000), holds
+        bad = next(int(i) for i in ids[3072:] if i not in set(ids[:3072]))
+
+        def inputs(params, chunk):
+            if bad in chunk.ids:  # in every process that scores the record
+                raise DataError(f"record {bad} is bad")
+            return batch_inputs(params, chunk)
+
+        fds = open_fds()
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(encoder, "batch_inputs", inputs)
+        monkeypatch.setattr(encoder, "_processes", lambda n_records: 3)
+        with pytest.raises(DataError) as raised:
+            embed_matrix(params, records)
+        assert type(raised.value) is DataError and str(raised.value) == f"record {bad} is bad"
+        assert len(forks) == 2
+        assert_no_children_or_fds_left(fds)
+
+    @pytest.mark.parametrize("how", ["DataError", "KeyboardInterrupt", "SIGKILL", "unpicklable error"])
+    def test_failed_child_run_is_scored_again_here(self, how, monkeypatch):
+        from protobank import encoder
+
+        parent, records, params = os.getpid(), many_records()[:5000], world_params()
+        want = embed_matrix(params, records)
+        seen = []  # the features of every chunk this process scores
 
         def forward(*x):
-            if os.getpid() != parent:
-                raise error
+            if os.getpid() == parent:
+                seen.append(x[0])
+            elif len(forks) == 1:  # the second child, run (3072, 5000), fails
+                if how == "SIGKILL":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise {
+                    "DataError": DataError("child only"),
+                    "KeyboardInterrupt": KeyboardInterrupt(),
+                    "unpicklable error": DataError(lambda: None),
+                }[how]
             return embed_batch(params, *x)
 
         fds = open_fds()
+        forks = counted_forks(monkeypatch)
         monkeypatch.setattr(encoder, "_processes", lambda n_records: 3)
-        with pytest.raises(expect) as raised:
-            encoder.forward_rows(params, many_records()[:5000], forward, params.config.d, 1024)
-        assert type(raised.value) is expect and str(raised.value) == str(error)
+        got = encoder.forward_rows(params, records, forward, params.config.d, 1024)
+        assert got.tobytes() == want.tobytes()
+        assert len(forks) == 2
+        runs = [batch_inputs(params, records[a:b])[0] for a, b in [(0, 1024), (3072, 5000)]]
+        assert np.array_equal(np.concatenate(seen), np.concatenate(runs))
         assert_no_children_or_fds_left(fds)
 
     @pytest.mark.parametrize("error", [DataError("bad share"), KeyboardInterrupt()])
@@ -538,23 +572,33 @@ class TestSplitScoring:
         assert len(forks) == 2
         assert_no_children_or_fds_left(fds)
 
-    @pytest.mark.parametrize("how", ["killed", "unpicklable error"])
-    def test_child_that_sends_no_rows(self, how, monkeypatch):
+    def test_interrupt_while_waiting_kills_and_reaps_children(self, monkeypatch):
         from protobank import encoder
 
         parent, params = os.getpid(), world_params()
 
         def forward(*x):
             if os.getpid() != parent:
-                if how == "killed":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise DataError(lambda: None)  # a lambda does not pickle
+                time.sleep(10)  # the caller is waiting for this child when the alarm fires
             return embed_batch(params, *x)
 
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
         fds = open_fds()
+        forks = counted_forks(monkeypatch)
         monkeypatch.setattr(encoder, "_processes", lambda n_records: 2)
-        with pytest.raises(ChildProcessError, match="ended without sending its rows"):
-            encoder.forward_rows(params, many_records()[:3000], forward, params.config.d, 1024)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            with pytest.raises(KeyboardInterrupt):
+                encoder.forward_rows(params, many_records()[:3000], forward, params.config.d, 1024)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 5
+        assert len(forks) == 1
         assert_no_children_or_fds_left(fds)
 
     def test_non_finite_child_rows_raise_in_parent(self, monkeypatch):
