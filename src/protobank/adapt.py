@@ -122,18 +122,17 @@ class AdaptParams:
         return {**self.encoder.tensors, **self.tensors}
 
 
-def memory_attend(h, bank: FrozenBank) -> tuple[Tensor, Tensor]:
+def memory_attend(h: Tensor, bank: FrozenBank) -> tuple[Tensor, Tensor]:
     """Softmax dot-product attention of each row of h over every bank row.
 
     h: (N, d); bank: M rows of width d. Returns (attended, weights), (N, d)
     and (N, M).
     """
-    ht = h if isinstance(h, Tensor) else Tensor(h)
-    if ht.data.ndim != 2:
-        raise ShapeError(f"memory_attend expects an (N, d) matrix, got {ht.shape}")
-    if ht.shape[1] != bank.shape[1]:
-        raise ShapeError(f"dimension mismatch: h has {ht.shape[1]}, bank has {bank.shape[1]}")
-    logits = nm.matmul(ht, bank.rows_t)
+    if h.data.ndim != 2:
+        raise ShapeError(f"memory_attend expects an (N, d) matrix, got {h.shape}")
+    if h.shape[1] != bank.shape[1]:
+        raise ShapeError(f"dimension mismatch: h has {h.shape[1]}, bank has {bank.shape[1]}")
+    logits = nm.matmul(h, bank.rows_t)
     # the weights overwrite the logits, so a scoring chunk holds one (N, M)
     # array, not two; nothing reads the logits later (matmul's VJP reads only
     # its inputs)
@@ -153,13 +152,6 @@ def calibrate(params: AdaptParams, h_t: Tensor, h_ts: Tensor) -> tuple[Tensor, T
     return h_bar, gate
 
 
-def refine(h_t: Tensor, h_bar: Tensor) -> Tensor:
-    """Residual refinement: the fused representation plus its augmentation."""
-    if h_t.shape != h_bar.shape:
-        raise ShapeError(f"refine shapes differ: {h_t.shape} vs {h_bar.shape}")
-    return nm.add(h_t, h_bar)
-
-
 def target_forward(
     params: AdaptParams,
     feats: np.ndarray,
@@ -171,7 +163,7 @@ def target_forward(
     if params.bank is not None:
         h_ts, _ = memory_attend(h, params.bank)
         h_bar = calibrate(params, h, h_ts)[0] if params.use_calibration else h_ts
-        h_hat = refine(h, h_bar)
+        h_hat = nm.add(h, h_bar)
     else:
         h_hat = h
     return score_batch(params.encoder, h_hat), h_hat

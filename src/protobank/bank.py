@@ -40,13 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import (
-    MemoryBank,
-    PrototypeSet,
-    _Reader,
-    deserialize,
-    serialize,
-)
+from .container import MemoryBank, PrototypeSet, _Reader, deserialize
 from .declarations import CountryDataset, check_id
 from .encoder import EncoderParams, embed_matrix
 from .errors import DataError, FormatError, NumericError
@@ -468,13 +462,8 @@ class BankClient:
             raise DataError(str(payload, "utf-8", "replace"))
         return payload
 
-    def put(self, prototype_set: PrototypeSet | bytes) -> None:
-        data = (
-            prototype_set
-            if isinstance(prototype_set, bytes)
-            else serialize(prototype_set)
-        )
-        self._call(OP_PUT, data)
+    def put(self, container: bytes) -> None:
+        self._call(OP_PUT, container)
 
     def get(self, source_ids: list[str]) -> list[bytes]:
         ids = [s.encode("utf-8") for s in source_ids]

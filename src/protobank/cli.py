@@ -1,15 +1,15 @@
 """Command-line interface for the full pipeline.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric abort.
-Every subcommand prints its effective configuration to stderr so a run can
-be reproduced from its log. PROTOBANK_SEED provides the seed when --seed
-is omitted.
+Every subcommand prints its effective configuration, the seed included, to
+stderr so a run can be reproduced from its log. --seed is a run's only
+seed: it defaults to the config's seed for pretrain and finetune and to 0
+elsewhere, and a negative value is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -55,14 +55,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _resolve_seed(value: int | None) -> int:
-    env = os.environ.get("PROTOBANK_SEED", "0")
-    try:
-        value = int(env) if value is None else value
-    except ValueError:
-        raise UsageError(f"PROTOBANK_SEED={env!r} is not an integer") from None
+def _seed(text: str) -> int:
+    """The argparse type of every --seed: an integer >= 0."""
+    value = int(text)
     if value < 0:
-        raise UsageError(f"seed {value} is negative")
+        raise argparse.ArgumentTypeError(f"seed {value} is negative")
     return value
 
 
@@ -142,15 +139,19 @@ def parse_world_config(text: str) -> SyntheticWorldConfig:
 
 
 def _world_flags(parser: _Parser) -> None:
-    parser.add_argument("--config", help="flat key=value world config (default: built-in world)")
-    parser.add_argument("--seed", type=int, default=None, help="world seed for the built-in config")
+    world = parser.add_mutually_exclusive_group()
+    world.add_argument("--config", help="flat key=value world config (default: built-in world)")
+    # argparse passes a str default through `type`; an int 0 default would be
+    # the very object `--seed 0` parses to, and argparse would let it pass
+    # with --config as if it were absent
+    world.add_argument("--seed", type=_seed, default="0", help="world seed for the built-in config")
 
 
 def _world(args) -> SyntheticWorldConfig:
     """The world of --config, or the built-in world seeded by --seed."""
     if args.config:
         return parse_world_config(Path(args.config).read_text(encoding="utf-8"))
-    return default_world_config(_resolve_seed(args.seed))
+    return default_world_config(args.seed)
 
 
 def _data_flags(parser: _Parser, data_help: str) -> None:
@@ -179,7 +180,7 @@ def _training_flags(parser: _Parser, config, stage: str) -> None:
     add("--batch", type=int, default=config.batch_size, help="batch size")
     add("--lr", type=float, default=config.learning_rate, help="learning rate")
     add("--weight-decay", type=float, default=config.weight_decay, help="decoupled weight decay")
-    add("--seed", type=int, default=None, help="run seed")
+    add("--seed", type=_seed, default=config.seed, help="run seed")
     add("--curve", default=None, help="optional training-curve CSV path")
     add("--test-days", type=int, default=spec.test_window_days, help="test window length")
     add("--valid-days", type=int, default=spec.valid_window_days, help="validation window length")
@@ -191,7 +192,7 @@ def _training(args, config, **fields):
     is read."""
     cfg = config(
         epochs=args.epochs, batch_size=args.batch, learning_rate=args.lr,
-        weight_decay=args.weight_decay, seed=_resolve_seed(args.seed), **fields,
+        weight_decay=args.weight_decay, seed=args.seed, **fields,
     )
     spec = SplitSpec(args.test_days, args.valid_days)
     parts = split(_dataset(args), spec)
@@ -217,7 +218,7 @@ def _cmd_export_bank(args) -> int:
     params = load_encoder(Path(args.model).read_bytes())
     fraud_like = select_fraud_like(params, _dataset(args), args.fraction)
     proto = extract_prototypes(
-        params, fraud_like, args.per_class, seed=_resolve_seed(args.seed), created_at=args.stamp
+        params, fraud_like, args.per_class, seed=args.seed, created_at=args.stamp
     )
     Path(args.out).write_bytes(serialize(proto))
     print(
@@ -329,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output prototype-set file")
     p.add_argument("--per-class", type=int, default=500, help="prototypes per class")
     p.add_argument("--fraction", type=float, default=0.05, help="fraud-like share to keep")
-    p.add_argument("--seed", type=int, default=None, help="clustering seed")
+    p.add_argument("--seed", type=_seed, default=0, help="clustering seed")
     p.add_argument("--stamp", type=int, default=0, help="created_at stamp stored in the container")
 
     p = cmd("serve-bank", "serve a prototype exchange store", _cmd_serve_bank)

@@ -193,14 +193,12 @@ class ScenarioRunner:
         when the `reference` target-only model is given."""
         sp = self.splits(cfg.target_id)
         train = mask_labels(sp["train"], cfg.label_fraction, seed)
-        base = self.finetune_cfg
         ft = replace(
-            base,
+            self.finetune_cfg,
             init_from_source=source is not None,
             use_memory=bank is not None,
-            use_calibration=base.use_calibration if bank is None else cfg.variant != "calibration",
+            use_calibration=cfg.variant != "calibration",
             seed=seed,
-            encoder=replace(base.encoder, use_interaction=cfg.variant != "encoding"),
         )
         if reference is not None:  # akc_finetune sets init_from_source/use_memory itself
             return akc_finetune(train, sp["valid"], source, ft, target_pretrained=reference)[0]

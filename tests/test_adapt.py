@@ -15,7 +15,6 @@ from protobank.adapt import (
     finetune,
     load_model,
     memory_attend,
-    refine,
     save_adapt,
     score_chunk,
     score_records,
@@ -24,7 +23,14 @@ from protobank.adapt import (
 from protobank.bank import assemble
 from protobank.container import MemoryBank, PrototypeSet
 from protobank.declarations import SplitSpec, split
-from protobank.encoder import EncoderConfig, EncoderParams, batch_inputs, save_encoder
+from protobank.encoder import (
+    EncoderConfig,
+    EncoderParams,
+    batch_inputs,
+    embed_batch,
+    save_encoder,
+    score_batch,
+)
 from protobank.errors import DataError, NumericError, ShapeError
 from protobank.numerics import Tensor
 from tests.gradcheck import grad_check
@@ -55,13 +61,13 @@ class TestMemoryAttend:
     def test_single_prototype_bank(self):
         bank = assemble([PrototypeSet("S", 3, np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 3.0]]))])
         # restrict to one row by slicing the matrix directly
-        h_ts, w = memory_attend(np.array([[0.5, 0.5, 0.5]]), FrozenBank(bank.matrix()[:1], 3))
+        h_ts, w = memory_attend(Tensor(np.full((1, 3), 0.5)), FrozenBank(bank.matrix()[:1], 3))
         assert np.allclose(w.data, [[1.0]])
         assert np.allclose(h_ts.data, [[1.0, 2.0, 3.0]])
 
     def test_two_orthogonal_prototypes_hand_softmax(self):
         rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        h_ts, w = memory_attend(np.array([[1.0, 0.0]]), FrozenBank(rows, 2))
+        h_ts, w = memory_attend(Tensor(np.array([[1.0, 0.0]])), FrozenBank(rows, 2))
         e = math.e
         assert np.allclose(w.data, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
         assert np.allclose(h_ts.data, w.data @ rows, atol=1e-12)
@@ -69,7 +75,7 @@ class TestMemoryAttend:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         bank = small_bank(dim=6, rows=9)
-        _, w = memory_attend(rng.normal(size=(4, 6)), FrozenBank(bank.matrix(), 6))
+        _, w = memory_attend(Tensor(rng.normal(size=(4, 6))), FrozenBank(bank.matrix(), 6))
         assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w.data >= 0)
 
@@ -78,7 +84,7 @@ class TestMemoryAttend:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(3, 4))
         rows = rng.normal(size=(6, 4))
-        _, w1 = memory_attend(h, FrozenBank(rows, 4))
+        _, w1 = memory_attend(Tensor(h), FrozenBank(rows, 4))
         shifted = nm.softmax(nm.add(nm.matmul(Tensor(h), nm.transpose(Tensor(rows))), 57.0), axis=1)
         assert np.allclose(w1.data, shifted.data, atol=1e-12)
 
@@ -91,7 +97,7 @@ class TestMemoryAttend:
         with pytest.raises(DataError, match="bank dimension 5 != representation width 3"):
             FrozenBank(np.ones((4, 5)), 3)
         with pytest.raises(ShapeError):
-            memory_attend(np.ones((2, 3)), FrozenBank(np.ones((4, 5)), 5))
+            memory_attend(Tensor(np.ones((2, 3))), FrozenBank(np.ones((4, 5)), 5))
         # a bank that is not a matrix is bad data, and the message names its shape
         with pytest.raises(DataError, match=r"\(3,\)"):
             FrozenBank(np.ones(3), 3)
@@ -130,7 +136,7 @@ class TestLogitsOverwrite:
         def outputs():
             got = []
             for n in (1, 1023, 1024, 1025):
-                attended, weights = memory_attend(h[:n], model.bank)
+                attended, weights = memory_attend(Tensor(h[:n]), model.bank)
                 got += [attended.data, weights.data, score_records(model, records[:n])]
             return got
 
@@ -274,24 +280,32 @@ class TestCalibrate:
         assert grad_check(f, Tensor(rng.normal(size=(4, 6))), eps=1e-5) <= 1e-5
 
 
-class TestRefine:
-    def test_zero_augmentation_is_identity(self):
-        h = Tensor(np.array([[1.0, 2.0]]))
-        out = refine(h, Tensor(np.zeros((1, 2))))
-        assert np.array_equal(out.data, h.data)
+class TestTargetForward:
+    """target_forward refines h by adding h_bar, the calibrated (or, without
+    calibration, the attended) summary, and scores the sum."""
 
-    def test_additivity(self):
-        rng = np.random.default_rng(0)
-        h = Tensor(rng.normal(size=(2, 4)))
-        a = rng.normal(size=(2, 4))
-        b = rng.normal(size=(2, 4))
-        lhs = refine(h, Tensor(a + b)).data
-        rhs = refine(refine(h, Tensor(a)), Tensor(b)).data
-        assert np.allclose(lhs, rhs, atol=1e-12)
+    def _inputs(self, bank: bool, use_calibration: bool = True):
+        rng = np.random.default_rng(5)
+        params = small_adapt(seed=5)
+        params.bank = FrozenBank(rng.normal(size=(4, 6)), 6) if bank else None
+        params.use_calibration = use_calibration
+        return params, batch_inputs(params.encoder, separable_dataset(n=8, seed=5).records)
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            refine(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
+    @pytest.mark.parametrize("use_calibration", [True, False], ids=["calibrated", "direct"])
+    def test_refined_representation_is_h_plus_h_bar(self, use_calibration):
+        params, inputs = self._inputs(bank=True, use_calibration=use_calibration)
+        h = embed_batch(params.encoder, *inputs)
+        h_ts, _ = memory_attend(h, params.bank)
+        h_bar = calibrate(params, h, h_ts)[0] if use_calibration else h_ts
+        pred, h_hat = target_forward(params, *inputs)
+        want = h.data + h_bar.data
+        assert h_hat.data.tobytes() == want.tobytes()
+        assert pred.data.tobytes() == score_batch(params.encoder, Tensor(want)).data.tobytes()
+
+    def test_no_bank_leaves_the_representation_unrefined(self):
+        params, inputs = self._inputs(bank=False)
+        _, h_hat = target_forward(params, *inputs)
+        assert h_hat.data.tobytes() == embed_batch(params.encoder, *inputs).data.tobytes()
 
 
 class TestFinetune:

@@ -299,6 +299,16 @@ class TestExtractPrototypes:
         proto_rows = {tuple(np.round(r, 9)) for r in proto.fraud_prototypes}
         assert proto_rows == fraud_rows
 
+    def test_fraud_prototypes_come_from_fraud_rows(self):
+        from protobank.encoder import embed_matrix
+
+        # one prototype per class is its class's mean embedding
+        proto = extract_prototypes(self.params, self.train, per_class=1, seed=0)
+        h = embed_matrix(self.params, self.train.records)
+        fraud = self.train.records.illicit == 1
+        assert np.allclose(proto.fraud_prototypes, h[fraud].mean(axis=0), rtol=0, atol=1e-12)
+        assert np.allclose(proto.nonfraud_prototypes, h[~fraud].mean(axis=0), rtol=0, atol=1e-12)
+
     def test_prototypes_carry_no_record_fields(self):
         proto = extract_prototypes(self.params, self.train, per_class=5, seed=0)
         assert proto.fraud_prototypes.dtype == np.float64
@@ -434,8 +444,8 @@ class TestBankService:
 
     def test_list_and_replace(self, server):
         with BankClient(server.address) as client:
-            client.put(self._proto("AA", seed=1))
-            client.put(self._proto("BB", seed=2))
+            client.put(serialize(self._proto("AA", seed=1)))
+            client.put(serialize(self._proto("BB", seed=2)))
             assert client.list() == [("AA", 42), ("BB", 42)]
             replacement = serialize(self._proto("AA", seed=9))
             client.put(replacement)
@@ -529,7 +539,7 @@ class TestBankService:
 
     def test_bad_get_id_answers_error_frame_on_live_connection(self, server):
         with BankClient(server.address) as client:
-            client.put(self._proto("AA"))
+            client.put(serialize(self._proto("AA")))
             body = struct.pack("<I", 1) + _pack_blob(b"\xff\xfe")  # not UTF-8
             with pytest.raises(DataError, match="utf-8"):
                 client._call(OP_GET, body)
@@ -551,7 +561,7 @@ class TestBankService:
             raise OSError("read failed")
 
         with BankClient(server.address) as client:
-            client.put(self._proto("AA"))
+            client.put(serialize(self._proto("AA")))
             monkeypatch.setattr(server.store, "get", failing_get)
             with pytest.raises(DataError, match="read failed"):
                 client.get(["AA"])
@@ -604,7 +614,7 @@ class TestBankService:
         mid_body = socket.create_connection(server.address, timeout=10)
         mid_body.sendall(struct.pack("<IB", 100, OP_PUT) + b"x" * 10)
         with BankClient(server.address) as client:  # served while the others wait
-            client.put(self._proto("AA"))
+            client.put(serialize(self._proto("AA")))
             assert client.list() == [("AA", 42)]
         for sock in (idle, mid_header, mid_body):
             with sock:

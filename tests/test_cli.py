@@ -82,6 +82,16 @@ def finetuned(world_dir, pretrained):
     return model
 
 
+def run_cli(*argv, **env):
+    """`python -m protobank.cli *argv` in a subprocess with `env` added, and
+    this checkout's protobank first on the path."""
+    env = {**os.environ, **env}
+    src = os.path.dirname(os.path.dirname(protobank.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "protobank.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 class TestWorldConfig:
     def test_parse_round_trip(self):
         cfg = parse_world_config(WORLD_CFG)
@@ -203,7 +213,7 @@ class TestServeFetch:
             }
             with BankClient((host, int(port))) as client:
                 for ps in protos.values():
-                    client.put(ps)
+                    client.put(serialize(ps))
             out = tmp_path / "fetched.pbk"
             rc = main(["fetch-bank", "--from", f"{host}:{port}",
                        "--sources", "AA,BB", "--out", str(out)])
@@ -421,28 +431,29 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, flags, env_seed, code",
+        "command, flags, code",
         [
-            ("pretrain", ["--seed", "-5"], None, 1),
-            ("pretrain", [], "-3", 1),
-            ("export-bank", ["--seed", "-5"], None, 1),
-            ("export-bank", ["--stamp", "-1"], None, 2),
-            ("finetune", ["--seed", "-5"], None, 1),
-            ("pretrain", ["--lr", "nan"], None, 2),
-            ("pretrain", ["--weight-decay", "inf"], None, 2),
-            ("finetune", ["--lr", "-1"], None, 2),
-            ("finetune", ["--weight-decay", "-0.5"], None, 2),
-            ("pretrain", ["--test-days", "-5"], None, 2),
-            ("finetune", ["--valid-days", "0"], None, 2),
+            ("pretrain", ["--seed", "-5"], 1),
+            ("export-bank", ["--seed", "-5"], 1),
+            ("export-bank", ["--stamp", "-1"], 2),
+            ("finetune", ["--seed", "-5"], 1),
+            ("gen", ["--seed", "-1"], 1),
+            ("experiment", ["--seed", "-1"], 1),
+            ("pretrain", ["--lr", "nan"], 2),
+            ("pretrain", ["--weight-decay", "inf"], 2),
+            ("finetune", ["--lr", "-1"], 2),
+            ("finetune", ["--weight-decay", "-0.5"], 2),
+            ("pretrain", ["--test-days", "-5"], 2),
+            ("finetune", ["--valid-days", "0"], 2),
         ],
         ids=[
-            "pretrain-seed", "env-seed", "export-seed", "export-stamp", "finetune-seed",
-            "pretrain-lr-nan", "pretrain-decay-inf", "finetune-lr-negative",
+            "pretrain-seed", "export-seed", "export-stamp", "finetune-seed", "gen-seed",
+            "experiment-seed", "pretrain-lr-nan", "pretrain-decay-inf", "finetune-lr-negative",
             "finetune-decay-negative", "pretrain-test-days", "finetune-valid-days",
         ],
     )
     def test_out_of_range_value_exits_without_traceback(
-        self, world_dir, pretrained, tmp_path, command, flags, env_seed, code
+        self, world_dir, pretrained, tmp_path, command, flags, code
     ):
         data = world_dir / "data"
         base = {
@@ -451,17 +462,11 @@ class TestExitCodes:
                             "--country", "AA", "--per-class", "5", "--fraction", "0.15"],
             "finetune": ["--data", str(data / "BB.csv"), "--country", "BB", "--epochs", "1",
                          "--label-fraction", "0.05"],
+            "gen": [],
+            "experiment": ["--suite", "single", "--seeds", "1"],
         }[command]
-        env = {k: v for k, v in os.environ.items() if k != "PROTOBANK_SEED"}
-        src = os.path.dirname(os.path.dirname(protobank.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        if env_seed is not None:
-            env["PROTOBANK_SEED"] = env_seed
         out = tmp_path / "out.bin"
-        proc = subprocess.run(
-            [sys.executable, "-m", "protobank.cli", command, *base, *flags, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_cli(command, *base, *flags, "--out", str(out))
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert ("usage error" if code == 1 else "data error") in proc.stderr
@@ -532,18 +537,36 @@ class TestExitCodes:
         assert "numeric abort: non-finite model output" in capsys.readouterr().err
 
 
-class TestSeedEnvFallback:
-    def test_protobank_seed_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PROTOBANK_SEED", "11")
-        assert main(["gen", "--out", str(tmp_path / "env")]) == 0
-        monkeypatch.delenv("PROTOBANK_SEED")
-        assert main(["gen", "--seed", "11", "--out", str(tmp_path / "flag")]) == 0
-        for name in ("C1.csv", "C2.csv", "C3.csv", "C4.csv"):
-            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+class TestSeedContract:
+    def test_config_line_reproduces_a_run_with_protobank_seed_set(self, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        run = run_cli("gen", "--out", str(first), PROTOBANK_SEED="7")
+        assert run.returncode == 0, run.stderr
+        line = next(l for l in run.stderr.splitlines() if l.startswith("config: gen "))
+        values = dict(pair.split("=", 1) for pair in line.split()[2:])
+        assert values["seed"] == "0"  # the variable is ignored; the line shows the seed used
+        values["out"] = str(again)
+        flags = [f for k, v in values.items() if k != "command" and v != "None"
+                 for f in (f"--{k.replace('_', '-')}", v)]
+        rerun = run_cli("gen", *flags)
+        assert rerun.returncode == 0, rerun.stderr
+        names = sorted(p.name for p in first.iterdir())
+        assert names and names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (again / name).read_bytes()
 
-    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PROTOBANK_SEED", "not-a-number")
-        assert main(["gen", "--out", str(tmp_path / "x")]) == 1
+    @pytest.mark.parametrize("command", [["gen"], ["experiment", "--suite", "single"]],
+                             ids=["gen", "experiment"])
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_config_and_seed_together_are_a_usage_error(
+        self, world_dir, tmp_path, capsys, command, seed
+    ):
+        out = tmp_path / "out"
+        cfg = str(world_dir / "world.cfg")
+        for world in (["--config", cfg, "--seed", seed], ["--seed", seed, "--config", cfg]):
+            assert main([*command, *world, "--out", str(out)]) == 1
+            assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigEcho:
@@ -579,4 +602,4 @@ class TestHelp:
         )
         assert (args.test_days, args.valid_days) == (spec.test_window_days, spec.valid_window_days)
         assert getattr(args, "tau", None) == getattr(config, "tau", None)
-        assert args.seed is None and args.curve is None  # the seed comes from PROTOBANK_SEED
+        assert args.seed == config.seed and args.curve is None

@@ -29,6 +29,8 @@ from protobank.evaluation import (
     suite_configs,
 )
 from protobank.adapt import FinetuneConfig
+from protobank.bank import assemble, random_bank
+from protobank.container import PrototypeSet
 from protobank.pretrain import PretrainConfig
 from tests.records_edge import records_of
 from tests.test_declarations import make_record
@@ -276,6 +278,30 @@ class TestScenarioRunner:
             ScenarioConfig("target_only", "BB", seeds=(0, 1), label_fraction=0.05)
         )
         assert calls == {"mask_labels": 2}
+
+    @pytest.mark.parametrize("kind", ["proto_single", "random_memory"])
+    def test_proto_kinds_fine_tune_over_their_own_bank(self, world, monkeypatch, kind):
+        """proto_single attends over the source's prototypes, random_memory
+        over a random bank of as many rows; `finetune`'s bank is captured, and
+        nothing is trained."""
+        protos = PrototypeSet("AA", 8, np.ones((3, 8)), -np.ones((4, 8)))
+        monkeypatch.setattr(ScenarioRunner, "pretrained", lambda self, *args: None)
+        monkeypatch.setattr(ScenarioRunner, "prototypes", lambda self, *args: protos)
+        banks = []
+
+        class Captured(Exception):
+            pass
+
+        def captured(train, valid, bank, source, cfg):
+            banks.append(bank)
+            raise Captured  # stop before scoring
+
+        monkeypatch.setattr(evaluation, "finetune", captured)
+        cfg = ScenarioConfig(kind, "BB", ("AA",), seeds=(3,), label_fraction=0.05)
+        with pytest.raises(Captured):
+            ScenarioRunner(world, **FAST_RUNNER).run(cfg)
+        want = protos if kind == "proto_single" else random_bank(8, 7, seed=3)
+        assert banks[0].matrix().tobytes() == assemble([want]).matrix().tobytes()
 
     def test_parallel_runs_match_serial(self, world):
         from concurrent.futures import ThreadPoolExecutor

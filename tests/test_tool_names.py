@@ -4,7 +4,8 @@
 `tools/layerbench.py` times the layers. Both import protobank names, and
 `fingerprint.py` reads attributes of `import protobank as pb`, so a deleted
 or renamed name would fail the script instead of the test suite. The
-scripts are parsed here, never run.
+scripts are parsed here, never run. Likewise each mutant of
+`tools/mutants.py` names a source line, which must still be there.
 """
 
 import ast
@@ -12,7 +13,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def _protobank_names(tree: ast.Module):
@@ -53,3 +55,14 @@ def test_every_tool_name_resolves():
         "fingerprint.py: protobank.adapt.save_adapt",
         "layerbench.py: protobank.bank.kmeans",
     } <= checked
+
+
+def test_every_mutant_still_applies():
+    spec = importlib.util.spec_from_file_location("mutants", TOOLS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    for m in mutants.MUTANTS:
+        lines = (ROOT / m.path).read_text(encoding="utf-8").split("\n")
+        assert lines.count(m.old) == 1, f"{m.name}: old line found {lines.count(m.old)} times"
+        assert m.new != m.old, m.name
